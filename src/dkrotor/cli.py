@@ -284,7 +284,7 @@ def _kick_header(prefix, kicks):
     return [prefix] + [f"kick_{t}" for t in range(kicks + 1)]
 
 
-def _run_classical(spec, out, written, workers):
+def _run_classical(spec, out, written):
     cfg = spec.kick_config()
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
     result = propagate_ensemble(ensemble, cfg, spec.kicks)
@@ -317,7 +317,7 @@ def _write_distributions(path, basis, dists, kicks, written):
     _write_csv(path, header, rows, written)
 
 
-def _run_quantum(spec, out, written, workers):
+def _run_quantum(spec, out, written):
     cfg = spec.kick_config()
     basis = spec.basis()
     op = build_period_operator(cfg, basis)
@@ -335,7 +335,7 @@ def _run_quantum(spec, out, written, workers):
     return []
 
 
-def _run_floquet(spec, out, written, workers):
+def _run_floquet(spec, out, written):
     cfg = spec.kick_config()
     basis = spec.basis()
     op = build_period_operator(cfg, basis)
@@ -358,7 +358,7 @@ def _run_floquet(spec, out, written, workers):
     return []
 
 
-def _run_wigner(spec, out, written, workers):
+def _run_wigner(spec, out, written):
     cfg = spec.kick_config()
     basis = spec.basis()
     op = build_period_operator(cfg, basis)
@@ -375,13 +375,12 @@ def _run_wigner(spec, out, written, workers):
     return []
 
 
-def _run_mc(spec, out, written, workers):
+def _run_mc(spec, out, written):
     cfg = spec.kick_config()
     basis = spec.basis()
     model = EmissionModel(eta=spec.eta, recoil_mode="continuous")
     result = mc_wavefunction_run(cfg, basis, model, spec.kicks, spec.seed,
-                                 realizations=spec.realizations,
-                                 workers=workers)
+                                 realizations=spec.realizations)
     _write_distributions(out / "momentum_distribution.csv", basis,
                          result.distributions, spec.kicks, written)
     _write_outside(out / "outside_fraction.csv", result.outside_fraction,
@@ -390,7 +389,7 @@ def _run_mc(spec, out, written, workers):
     return [spec.seed]
 
 
-def _run_compare(spec, out, written, workers):
+def _run_compare(spec, out, written):
     cfg = spec.kick_config()
     basis = spec.basis()
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
@@ -428,7 +427,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run(spec: ExperimentSpec, workers: int = 1) -> RunManifest:
+def run(spec: ExperimentSpec) -> RunManifest:
     """Execute one pipeline; on failure remove partial outputs and re-raise."""
     validate(spec)
     out = Path(spec.out)
@@ -436,7 +435,7 @@ def run(spec: ExperimentSpec, workers: int = 1) -> RunManifest:
     written: list = []
     start = time.perf_counter()
     try:
-        seeds = _MODE_RUNNERS[spec.mode](spec, out, written, workers)
+        seeds = _MODE_RUNNERS[spec.mode](spec, out, written)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
@@ -454,10 +453,10 @@ def run(spec: ExperimentSpec, workers: int = 1) -> RunManifest:
     return manifest
 
 
-def _run_named(name, spec, root, workers):
+def _run_named(name, spec, root):
     sub = replace(spec, out=str(Path(root) / name))
     try:
-        return name, run(sub, workers=workers), None
+        return name, run(sub), None
     except SpecError as exc:
         return name, None, exc.report()
     except Exception as exc:
@@ -478,9 +477,9 @@ def sweep(pairs, root, workers: int = 1) -> list:
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                lambda item: _run_named(item[0], item[1], root, 1), pairs))
+                lambda item: _run_named(item[0], item[1], root), pairs))
     else:
-        results = [_run_named(name, spec, root, 1) for name, spec in pairs]
+        results = [_run_named(name, spec, root) for name, spec in pairs]
     _aggregate_sweep(results, root)
     report = {"runs": [{"name": name,
                         "status": "ok" if err is None else "failed",
@@ -537,13 +536,13 @@ def main(argv=None) -> int:
                        help="override [run] seed")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--workers", type=int, default=1,
-                       help="concurrent runs (sweep) or MC workers (run)")
+                       help="concurrent runs (sweep)")
     args = parser.parse_args(argv)
 
     try:
         if args.verb == "run":
             spec = _apply_overrides(load_spec(args.config), args)
-            manifest = run(spec, workers=args.workers)
+            manifest = run(spec)
             print(json.dumps(_json_safe(manifest.to_dict()), indent=2,
                              sort_keys=True))
             return 0

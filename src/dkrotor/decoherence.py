@@ -26,19 +26,20 @@ transport.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pulses import KickConfig
-from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
-                      build_period_operator, initial_density,
-                      momentum_distribution)
+from .quantum import (OUTSIDE_BOUNDARY, EvolutionResult, MomentumBasis,
+                      PeriodOperator, build_period_operator,
+                      initial_density, momentum_distribution)
 
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000
 DEFAULT_Q_GRID = 64
+# realizations per (N x MC_BLOCK) state matrix; bounds the working set
+MC_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
             d = M @ d
             dists[t] = d
             outside[t] = float(
-                d[np.abs(basis.momenta) > 10.0 * np.pi].sum())
+                d[np.abs(basis.momenta) > OUTSIDE_BOUNDARY].sum())
         return EvolutionResult(distributions=dists, outside_fraction=outside,
                                final_density=np.diag(d).astype(complex))
 
@@ -174,94 +175,44 @@ class MCResult:
     q_grid: int
 
 
-def _wrap_q(q_total: float):
-    """Split a momentum offset into ladder shift and wrapped quasi-momentum."""
+def _wrap_q(q_total):
+    """Split momentum offsets into ladder shifts and wrapped quasi-momenta."""
     q_new = (q_total + 0.5) % 1.0 - 0.5
-    return int(round(q_total - q_new)), q_new
+    return np.round(q_total - q_new).astype(int), q_new
 
 
-def _emission_cycle(psi, q, cache, rng):
-    """One kick cycle containing an emission at a uniform on-pulse time."""
-    cfg = cache.cfg
+def _emission_cycle(psi, op, op_after, x, shift):
+    """One kick cycle with an emission at on-pulse time x in [0, alpha):
+    op before it, then a ladder shift, then op_after of the new q."""
+    cfg = op.config
     half = cfg.alpha / 2.0
-    x = rng.uniform(0.0, cfg.alpha)
-    in_first = x < half
-    offset = x if in_first else x - half
-    u = rng.uniform(-1.0, 1.0)
-
-    op = cache.operator(q)
-    if in_first:
-        psi = op.apply_pulse(psi, offset)
-        shift, q = _wrap_q(cache.snap(q) + u)
-        psi = np.roll(psi, shift)
-        op = cache.operator(q)
-        psi = op.apply_pulse(psi, half - offset)
-        psi = op.free_phases(cfg.delta - half) * psi
-        psi = op.apply_pulse(psi, half)
+    if x < half:
+        psi = np.roll(op.apply_pulse(psi, x), shift)
+        psi = op_after.apply_pulse(psi, half - x)
+        psi = op_after.free_phases(cfg.delta - half) * psi
+        psi = op_after.apply_pulse(psi, half)
     else:
         psi = op.apply_pulse(psi, half)
         psi = op.free_phases(cfg.delta - half) * psi
-        psi = op.apply_pulse(psi, offset)
-        shift, q = _wrap_q(cache.snap(q) + u)
-        psi = np.roll(psi, shift)
-        op = cache.operator(q)
-        psi = op.apply_pulse(psi, half - offset)
-    psi = op.free_phases(1.0 - cfg.delta - half) * psi
-    return psi, cache.snap(q)
+        psi = np.roll(op.apply_pulse(psi, x - half), shift)
+        psi = op_after.apply_pulse(psi, half - (x - half))
+    return op_after.free_phases(1.0 - cfg.delta - half) * psi
 
 
-def _mc_chunk(cfg, basis, model, kicks, seed, indices, q_grid):
-    """Accumulate one block of realizations; seeding is per (seed, index),
-    so results do not depend on how realizations are chunked."""
-    eta = model.eta
-    if model.recoil_mode == "continuous":
-        cache = OperatorCache(cfg, basis.size, basis.hbar, q_grid)
-        basis = MomentumBasis(size=basis.size, hbar=basis.hbar,
-                              q=cache.snap(basis.q))
-
-        def cycle(psi, q, rng):
-            if eta > 0.0 and rng.random() < eta:
-                return _emission_cycle(psi, q, cache, rng)
-            return cache.operator(q).U @ psi, q
-    else:
-        U = build_period_operator(cfg, basis).U
-
-        def cycle(psi, q, rng):
-            psi = U @ psi
-            if eta > 0.0 and rng.random() < eta:
-                # same periodic wrap as spontaneous_emission_map
-                psi = np.roll(psi, 1 if rng.random() < 0.5 else -1)
-            return psi, q
-
-    weights = np.real(np.diag(initial_density(cfg, basis)))
-    # the sub-ladder offset q is below the grid resolution; score the
-    # barrier crossing on ladder sites so the curve is comparable with
-    # the density-matrix pipeline
-    outside = np.abs(basis.indices * basis.hbar) > 10.0 * np.pi
-
-    sum_dist = np.zeros((kicks + 1, basis.size))
-    sum_out = np.zeros(kicks + 1)
-    sum_out2 = np.zeros(kicks + 1)
-
-    for index in indices:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-        n0 = rng.choice(basis.size, p=weights)
-        psi = np.zeros(basis.size, dtype=complex)
-        psi[n0] = 1.0
-        q = basis.q
-
-        out_series = np.empty(kicks + 1)
-        prob = np.abs(psi)**2
-        sum_dist[0] += prob
-        out_series[0] = prob[outside].sum()
-        for t in range(1, kicks + 1):
-            psi, q = cycle(psi, q, rng)
-            prob = np.abs(psi)**2
-            sum_dist[t] += prob
-            out_series[t] = prob[outside].sum()
-        sum_out += out_series
-        sum_out2 += out_series**2
-    return sum_dist, sum_out, sum_out2
+def _continuous_kick(Psi, q, q_after, emit, x, shift, cache):
+    """One kick of each column of Psi, in place, from snapped q to q_after;
+    columns without emission take one U product per run of equal q."""
+    stay = np.flatnonzero(~emit)[np.argsort(q[~emit], kind="stable")]
+    Y, qs = Psi[:, stay], q[stay]
+    starts = np.flatnonzero(np.diff(qs, prepend=np.nan))
+    for a, b in zip(starts, [*starts[1:], qs.size]):
+        # np.dot hands a one-column strided slice to BLAS; matmul does not
+        Y[:, a:b] = np.dot(cache.operator(qs[a]).U, Y[:, a:b])
+    Psi[:, stay] = Y
+    for j in np.flatnonzero(emit):
+        Psi[:, j] = _emission_cycle(Psi[:, j], cache.operator(q[j]),
+                                    cache.operator(q_after[j]), x[j],
+                                    shift[j])
 
 
 def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
@@ -289,7 +240,9 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     uniform that triggers an emission when below eta.  An emission then
     draws, for discretized recoil, one uniform (below 1/2 shifts up one
     rung), and for continuous recoil the emission time in [0, alpha)
-    followed by u.
+    followed by u.  No draw depends on the state, so all come first;
+    realizations then advance MC_BLOCK at a time as the columns of one
+    state matrix.  workers is kept for callers and has no effect.
     """
     if not isinstance(model, EmissionModel):
         raise TypeError(f"model must be an EmissionModel, got {model!r}")
@@ -298,18 +251,68 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
 
-    indices = np.arange(realizations)
-    args = (cfg, basis, model, kicks, seed)
-    if workers > 1:
-        blocks = np.array_split(indices, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_mc_chunk_star,
-                                  [args + (b, q_grid) for b in blocks]))
-        sum_dist = sum(p[0] for p in parts)
-        sum_out = sum(p[1] for p in parts)
-        sum_out2 = sum(p[2] for p in parts)
+    continuous = model.recoil_mode == "continuous"
+    if continuous:
+        cache = OperatorCache(cfg, basis.size, basis.hbar, q_grid)
+        basis = MomentumBasis(size=basis.size, hbar=basis.hbar,
+                              q=cache.snap(basis.q))
     else:
-        sum_dist, sum_out, sum_out2 = _mc_chunk(*args, indices, q_grid)
+        U = build_period_operator(cfg, basis).U
+    weights = np.real(np.diag(initial_density(cfg, basis)))
+    # the sub-ladder offset q is below the grid resolution; score the
+    # barrier crossing on ladder sites so the curve is comparable with
+    # the density-matrix pipeline
+    outside = np.abs(basis.indices * basis.hbar) > OUTSIDE_BOUNDARY
+
+    sum_dist = np.zeros((kicks + 1, basis.size))
+    sum_out = np.zeros(kicks + 1)
+    sum_out2 = np.zeros(kicks + 1)
+    for start in range(0, realizations, MC_BLOCK):
+        indices = np.arange(start, min(start + MC_BLOCK, realizations))
+        cols = np.arange(indices.size)
+        n0 = np.empty(cols.size, dtype=int)
+        pool = np.empty((cols.size, 3 * kicks))
+        for j, i in enumerate(indices):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+            n0[j] = rng.choice(basis.size, p=weights)
+            pool[j] = rng.random(3 * kicks)
+        # kick t's trigger is draw at[t]; an emission takes 1 or 2 more
+        at = np.empty((kicks, cols.size), dtype=int)
+        pos = np.zeros(cols.size, dtype=int)
+        for t in range(kicks):
+            at[t] = pos
+            pos += 1 + (pool[cols, pos] < model.eta) * (1 + continuous)
+        emit = pool[cols, at] < model.eta
+        x = pool[cols, at + 1]
+        if continuous:
+            # scaled as Generator.uniform(0, alpha) and (-1, 1) scale them
+            x *= cfg.alpha
+            u = -1.0 + 2.0 * pool[cols, at + 2]
+            shift = np.empty((kicks, cols.size), dtype=int)
+            q = np.full((kicks + 1, cols.size), basis.q)
+            for t in range(kicks):
+                shift[t], q_new = _wrap_q(cache.snap(q[t]) + u[t])
+                q[t + 1] = np.where(emit[t], cache.snap(q_new), q[t])
+            # built before the propagation's temporaries: less fragmentation
+            for value in np.unique(q):
+                cache.operator(value)
+        Psi = np.zeros((basis.size, cols.size), dtype=complex)
+        Psi[n0, cols] = 1.0
+        for t in range(kicks + 1):
+            if t and continuous:
+                _continuous_kick(Psi, q[t - 1], q[t], emit[t - 1],
+                                 x[t - 1], shift[t - 1], cache)
+            elif t:
+                Psi = U @ Psi
+                # same periodic wrap as spontaneous_emission_map
+                for step, sel in ((1, emit[t - 1] & (x[t - 1] < 0.5)),
+                                  (-1, emit[t - 1] & (x[t - 1] >= 0.5))):
+                    Psi[:, sel] = np.roll(Psi[:, sel], step, axis=0)
+            prob = np.abs(Psi)**2
+            out = prob[outside].sum(axis=0)
+            sum_dist[t] += prob.sum(axis=1)
+            sum_out[t] += out.sum()
+            sum_out2[t] += (out**2).sum()
 
     R = realizations
     mean_out = sum_out / R
@@ -318,7 +321,3 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     return MCResult(distributions=sum_dist / R, outside_fraction=mean_out,
                     outside_stderr=stderr, realizations=R, seed=seed,
                     q_grid=q_grid)
-
-
-def _mc_chunk_star(packed):
-    return _mc_chunk(*packed)

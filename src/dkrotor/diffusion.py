@@ -36,8 +36,9 @@ class DiffusionFit:
     fit_window the kick range actually used, residual the RMS deviation
     of the log series from the fitted line.  n_dropped counts points
     discarded because the series fluctuated past 2/3; rejected flags
-    fits with too few usable points; valid flags |a| < 0.5, outside of
-    which the small-flux model does not apply.
+    fits with too few usable points; valid flags -0.5 < a < 0, outside of
+    which the small-flux model does not apply (a >= 0 means F <= 0,
+    which decay_rate and so the model curves reject).
     """
 
     F: float
@@ -118,4 +119,4 @@ def fit_flux(series, window=DEFAULT_WINDOW) -> DiffusionFit:
                         fit_window=(int(t_use[0]), int(t_use[-1])),
                         residual=residual, n_dropped=n_dropped,
                         n_used=n_used, rejected=rejected,
-                        valid=bool(abs(a) < 0.5))
+                        valid=bool(-0.5 < a < 0.0))

@@ -81,7 +81,16 @@ class PeriodOperator:
     def apply_pulse(self, psi: np.ndarray, w: float) -> np.ndarray:
         """P(w) applied to a state vector via the eigenbasis."""
         V, lam = self.pulse_vectors, self.pulse_energies
-        return V @ (np.exp(-1j * lam * w / self.basis.hbar) * (V.T @ psi))
+        return _real_matmul(V, np.exp(-1j * lam * w / self.basis.hbar)
+                            * _real_matmul(V.T, psi))
+
+
+def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X for real A and complex X, on the interleaved real view of X,
+    so A is never cast to complex."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    Y = np.dot(A, X.view(np.float64).reshape(X.shape[0], -1))
+    return Y.view(complex).reshape(X.shape)
 
 
 @dataclass

@@ -1,17 +1,23 @@
 """Independent oracles for the test suite.
 
-Both routes here deliberately avoid the machinery used by the package:
-the classical cycle is integrated with an adaptive Runge-Kutta stepper
-instead of elliptic functions, and the quantum period is built from a
-split-operator scheme on the angle grid instead of the tridiagonal
-eigenbasis.  Keep them dumb and slow; their only job is to disagree
-loudly when the fast implementations drift.
+The first two routes deliberately avoid the machinery used by the
+package: the classical cycle is integrated with an adaptive Runge-Kutta
+stepper instead of elliptic functions, and the quantum period is built
+from a split-operator scheme on the angle grid instead of the
+tridiagonal eigenbasis.  The trajectory reference runs the Monte Carlo
+wavefunction model one realization and one kick at a time.  Keep them
+dumb and slow; their only job is to disagree loudly when the fast
+implementations drift.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from dkrotor.decoherence import OperatorCache
+from dkrotor.quantum import (MomentumBasis, build_period_operator,
+                             initial_density)
 
 TWO_PI = 2.0 * np.pi
 
@@ -145,3 +151,85 @@ def narrow_packet(basis, center, width, seed):
     amp = np.exp(-(n - center)**2 / (4.0 * width**2))
     psi = amp * np.exp(2j * np.pi * rng.random(basis.size))
     return psi / np.linalg.norm(psi)
+
+
+def _wrap_q(q_total):
+    q_new = (q_total + 0.5) % 1.0 - 0.5
+    return int(round(q_total - q_new)), q_new
+
+
+def _emission_cycle(psi, q, cache, rng):
+    """One kick cycle containing an emission at a uniform on-pulse time."""
+    cfg = cache.cfg
+    half = cfg.alpha / 2.0
+    x = rng.uniform(0.0, cfg.alpha)
+    in_first = x < half
+    offset = x if in_first else x - half
+    u = rng.uniform(-1.0, 1.0)
+
+    op = cache.operator(q)
+    if in_first:
+        psi = op.apply_pulse(psi, offset)
+        shift, q = _wrap_q(cache.snap(q) + u)
+        psi = np.roll(psi, shift)
+        op = cache.operator(q)
+        psi = op.apply_pulse(psi, half - offset)
+        psi = op.free_phases(cfg.delta - half) * psi
+        psi = op.apply_pulse(psi, half)
+    else:
+        psi = op.apply_pulse(psi, half)
+        psi = op.free_phases(cfg.delta - half) * psi
+        psi = op.apply_pulse(psi, offset)
+        shift, q = _wrap_q(cache.snap(q) + u)
+        psi = np.roll(psi, shift)
+        op = cache.operator(q)
+        psi = op.apply_pulse(psi, half - offset)
+    psi = op.free_phases(1.0 - cfg.delta - half) * psi
+    return psi, cache.snap(q)
+
+
+def mc_reference(cfg, basis, model, kicks, seed, realizations, q_grid=64):
+    """Trajectory model one realization and one kick at a time.
+
+    Draws and propagates exactly as mc_wavefunction_run documents, with
+    one matrix-vector product per kick and the draws made as the
+    trajectory goes.  Returns the averaged distributions, the outside
+    fraction and its standard error.
+    """
+    eta = model.eta
+    if model.recoil_mode == "continuous":
+        cache = OperatorCache(cfg, basis.size, basis.hbar, q_grid)
+        basis = MomentumBasis(size=basis.size, hbar=basis.hbar,
+                              q=cache.snap(basis.q))
+
+        def cycle(psi, q, rng):
+            if eta > 0.0 and rng.random() < eta:
+                return _emission_cycle(psi, q, cache, rng)
+            return cache.operator(q).U @ psi, q
+    else:
+        U = build_period_operator(cfg, basis).U
+
+        def cycle(psi, q, rng):
+            psi = U @ psi
+            if eta > 0.0 and rng.random() < eta:
+                psi = np.roll(psi, 1 if rng.random() < 0.5 else -1)
+            return psi, q
+
+    weights = np.real(np.diag(initial_density(cfg, basis)))
+    outside = np.abs(basis.indices * basis.hbar) > 10.0 * np.pi
+    dists = np.zeros((kicks + 1, basis.size))
+    series = np.empty((realizations, kicks + 1))
+    for index in range(realizations):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+        psi = np.zeros(basis.size, dtype=complex)
+        psi[rng.choice(basis.size, p=weights)] = 1.0
+        q = basis.q
+        for t in range(kicks + 1):
+            if t:
+                psi, q = cycle(psi, q, rng)
+            prob = np.abs(psi)**2
+            dists[t] += prob
+            series[index, t] = prob[outside].sum()
+    mean = series.mean(axis=0)
+    stderr = series.std(axis=0) / np.sqrt(max(realizations - 1, 1))
+    return dists / realizations, mean, stderr

@@ -278,8 +278,6 @@ def test_criterion_08_decoherence_maps(quantum_ops):
     clauses.append((z.max() <= z_bound,
                     f"MC vs DM max z={z.max():.2f} at kick "
                     f"{int(z.argmax())} <= {z_bound}"))
-    # serial: forked workers oversubscribe the BLAS threads and take
-    # several times longer on this path
     zc, gap = z_scores(EmissionModel(eta=0.05, recoil_mode="continuous"),
                     workers=1)
     clauses.append((zc.max() > z_bound,

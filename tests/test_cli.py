@@ -255,10 +255,10 @@ out = unused
 """)
     real_runner = cli._MODE_RUNNERS["classical"]
 
-    def flaky(spec, out, written, workers):
+    def flaky(spec, out, written):
         if spec.K == 120.0:
             raise RuntimeError("third rail")
-        return real_runner(spec, out, written, workers)
+        return real_runner(spec, out, written)
 
     monkeypatch.setitem(cli._MODE_RUNNERS, "classical", flaky)
     results = sweep(load_sweep(path), root)
@@ -317,7 +317,7 @@ kicks = 12
 ensemble = 300
 """)
 
-    def flaky(spec, out, written, workers):
+    def flaky(spec, out, written):
         raise RuntimeError("no luck")
 
     monkeypatch.setitem(cli._MODE_RUNNERS, "classical", flaky)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dkrotor import decoherence
 from dkrotor.decoherence import (EmissionModel, MCResult, OperatorCache,
                                  anti_zeno_map, mc_wavefunction_run,
                                  run_decohered, spontaneous_emission_map,
@@ -10,6 +11,7 @@ from dkrotor.decoherence import (EmissionModel, MCResult, OperatorCache,
 from dkrotor.pulses import KickConfig
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
                              evolve_density, initial_density)
+from helpers import mc_reference
 
 BASIS = MomentumBasis()
 
@@ -202,11 +204,13 @@ def test_mc_deterministic_and_worker_invariant():
                             realizations=80)
     np.testing.assert_array_equal(a.distributions, b.distributions)
     np.testing.assert_array_equal(a.outside_fraction, b.outside_fraction)
-    c = mc_wavefunction_run(cfg, BASIS, _continuous(0.2), kicks=5, seed=11,
-                            realizations=80, workers=2)
-    # per-realization streams are keyed by (seed, index); only the
-    # reduction order differs across worker counts
-    np.testing.assert_allclose(a.distributions, c.distributions, atol=1e-12)
+    # workers has no effect: one process runs every realization
+    for workers in (2, 4):
+        c = mc_wavefunction_run(cfg, BASIS, _continuous(0.2), kicks=5,
+                                seed=11, realizations=80, workers=workers)
+        np.testing.assert_array_equal(a.distributions, c.distributions)
+        np.testing.assert_array_equal(a.outside_fraction, c.outside_fraction)
+        np.testing.assert_array_equal(a.outside_stderr, c.outside_stderr)
     d = mc_wavefunction_run(cfg, BASIS, _continuous(0.2), kicks=5, seed=12,
                             realizations=80)
     assert not np.array_equal(a.outside_fraction, d.outside_fraction)
@@ -257,5 +261,23 @@ def test_mc_discretized_unravels_emission_map():
         np.testing.assert_allclose(mc.distributions[0], np.diag(rho).real,
                                    atol=1e-15)
         assert np.all(np.abs(mc.distributions[1] - want) <= 4.0 * se + 1e-12)
-    np.testing.assert_allclose(runs[0].distributions, runs[1].distributions,
+    np.testing.assert_array_equal(runs[0].distributions,
+                                  runs[1].distributions)
+
+
+@pytest.mark.parametrize("mode", ["discretized", "continuous"])
+def test_mc_blocks_match_per_realization_reference(monkeypatch, mode):
+    # eta = 0.3 over 6 kicks gives emissions, q changes (continuous) and,
+    # with blocks of 16, four blocks of 60 realizations, the last partial
+    monkeypatch.setattr(decoherence, "MC_BLOCK", 16)
+    cfg = KickConfig(K=280.0)
+    model = EmissionModel(eta=0.3, recoil_mode=mode)
+    mc = mc_wavefunction_run(cfg, BASIS, model, kicks=6, seed=7,
+                             realizations=60)
+    dists, outside, stderr = mc_reference(cfg, BASIS, model, kicks=6,
+                                          seed=7, realizations=60)
+    np.testing.assert_allclose(mc.distributions, dists, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mc.outside_fraction, outside, rtol=0,
                                atol=1e-12)
+    np.testing.assert_allclose(mc.outside_stderr, stderr, rtol=0, atol=1e-12)
+    assert mc.outside_fraction[6] > mc.outside_fraction[0]

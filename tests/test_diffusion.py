@@ -136,6 +136,26 @@ def test_fit_flags_fast_decay_invalid():
     assert fit.a == pytest.approx(-0.52, abs=1e-9)
 
 
+def test_fit_flags_non_positive_flux_invalid():
+    # a sealed barrier leaves the outside fraction flat; a slight upward
+    # drift of ln(2/3 - series) fits a > 0, i.e. F < 0, for which
+    # decay_rate and so the model curves are undefined
+    t = np.arange(0, 61)
+    fit = fit_flux(0.01 - 1e-5 * t)
+    assert fit.a > 0.0 and fit.F < 0.0
+    assert not fit.valid and not fit.rejected
+    # noise around a flat level fits slopes of either sign; every fit
+    # flagged valid must be one the model accepts
+    rng = np.random.default_rng(80)
+    fits = [fit_flux(0.01 + 1e-4 * rng.standard_normal(61))
+            for _ in range(20)]
+    assert {np.sign(f.a) for f in fits} == {-1.0, 1.0}
+    for f in fits:
+        assert f.valid == (f.a < 0.0)
+        if f.valid:
+            assert model_outside(f.F, t).shape == t.shape
+
+
 def test_fit_preconditions():
     with pytest.raises(ValueError):
         fit_flux(np.linspace(0.0, 0.1, 5))  # too short
