@@ -8,9 +8,17 @@ strobed at the leading edge of the first pulse:
     pendulum(alpha/2) -> free(delta - alpha/2)
         -> pendulum(alpha/2) -> free(1 - delta - alpha/2)
 
-The pendulum step uses Jacobi elliptic functions with separate libration
-and rotation branches; a thin band around the separatrix falls back to
-an adaptive integrator, where the elliptic moduli degenerate.
+The pendulum step uses the Jacobi addition theorem (DLMF 22.8).  With
+s, c = sin, cos(phi/2) and mu = p^2/4K + s^2 = (E + K)/2K, a librating
+point (mu < 1) has sin(phi/2) = k sn(u), p = 2k sqrt(K) cn(u) with
+m = k^2 = mu, and a rotating one (mu > 1) has phi/2 = am(u),
+p = +-(2 sqrt(K)/k) dn(u) with m = k^2 = 1/mu; the argument u advances
+by v = sqrt(K) w / g over a pulse of width w, where g = 1 or k.  sn, cn
+and dn of the starting argument are read off the state (dn carrying the
+sign of p on rotating orbits), so one ellipj(v, m) call over all points
+gives the end state in closed form, with no incomplete integral and no
+reflection of p < 0 states.  A thin band around the separatrix, where
+the moduli degenerate, falls back to an adaptive integrator.
 """
 
 from __future__ import annotations
@@ -20,14 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import ellipj, ellipkinc
+from scipy.special import ellipj
 
-from .pulses import TWO_PI, KickConfig
+from .pulses import OUTSIDE_BOUNDARY, TWO_PI, KickConfig
 
 # relative half-width of the separatrix band routed to the fallback
 SEPARATRIX_BAND = 1e-9
 
-OUTSIDE_BOUNDARY = 10.0 * np.pi
 HISTOGRAM_SPAN = 35.0 * np.pi
 HISTOGRAM_BINS = 128
 
@@ -102,52 +109,11 @@ def _separatrix_fallback(phi, p, w, K):
     return np.mod(out_phi, TWO_PI), out_p
 
 
-def _libration(phi, p, w, K):
-    """E < K branch: oscillation about phi = 0.
-
-    The trajectory from (-phi, -p) is the time-mirror image, so points
-    with p < 0 are reflected through the origin first; this keeps the
-    starting elliptic argument in the principal range without needing
-    the complete integral.
-    """
-    sign = np.where(p >= 0.0, 1.0, -1.0)
-    phic = np.mod(phi + np.pi, TWO_PI) - np.pi
-    phic = sign * phic
-    E = 0.5 * p * p - K * np.cos(phic)
-    m = (E + K) / (2.0 * K)
-    fixed = m <= 0.0  # exactly the stable fixed point
-    m = np.where(fixed, 0.5, m)
-    k = np.sqrt(m)
-    s0 = np.clip(np.sin(0.5 * phic) / k, -1.0, 1.0)
-    u = ellipkinc(np.arcsin(s0), m) + np.sqrt(K) * w
-    sn, cn, _, _ = ellipj(u, m)
-    phi1 = 2.0 * np.arcsin(np.clip(k * sn, -1.0, 1.0))
-    p1 = 2.0 * k * np.sqrt(K) * cn
-    phi1 = np.where(fixed, 0.0, phi1)
-    p1 = np.where(fixed, 0.0, p1)
-    return np.mod(sign * phi1, TWO_PI), sign * p1
-
-
-def _rotation(phi, p, w, K):
-    """E > K branch: running solutions; p never changes sign here."""
-    sign = np.where(p >= 0.0, 1.0, -1.0)
-    phir = np.mod(sign * phi, TWO_PI)
-    E = 0.5 * p * p - K * np.cos(phir)
-    m = 2.0 * K / (E + K)
-    k = np.sqrt(m)
-    u = ellipkinc(0.5 * phir, m) + np.sqrt(K) / k * w
-    sn, cn, dn, _ = ellipj(u, m)
-    # atan2 recovers the amplitude mod 2*pi without tracking winding
-    phi1 = 2.0 * np.arctan2(sn, cn)
-    p1 = 2.0 * np.sqrt(K) / k * dn
-    return np.mod(sign * phi1, TWO_PI), sign * p1
-
-
 def pendulum_step(s: PhasePoint, w: float, K: float) -> PhasePoint:
     """Exact pendulum evolution for time w under H = p^2/2 - K cos(phi).
 
     Energy is conserved to machine precision on both elliptic branches;
-    |E - K| < 1e-9 K falls back to an adaptive integrator.
+    |E - K| <= 1e-9 K falls back to an adaptive integrator.
     """
     if K < 0.0:
         raise ValueError(f"K must be >= 0, got {K}")
@@ -159,21 +125,30 @@ def pendulum_step(s: PhasePoint, w: float, K: float) -> PhasePoint:
     phi = np.atleast_1d(np.asarray(s.phi, dtype=float))
     p = np.atleast_1d(np.asarray(s.p, dtype=float))
     phi, p = np.broadcast_arrays(phi, p)
-    phi = phi.copy()
-    p = p.copy()
 
-    E = 0.5 * p * p - K * np.cos(phi)
-    band = SEPARATRIX_BAND * K
-    lib = E < K - band
-    rot = E > K + band
-    sep = ~(lib | rot)
+    sh = np.sin(0.5 * phi)
+    ch = np.cos(0.5 * phi)
+    q = p / (2.0 * np.sqrt(K))
+    mu = q * q + sh * sh  # (E + K) / 2K
+    rot = mu > 1.0
+    # libration: m = mu, g = 1; rotation: m = 1/mu, g = k = 1/sqrt(mu)
+    scale = np.where(rot, mu, 1.0)
+    inv = 1.0 / scale
+    g = np.sqrt(inv)
+    sn, cn, dn, _ = ellipj(np.sqrt(K * scale) * w, np.where(rot, inv, mu))
+    # sn, cn, dn of the start u0 are (s/k, q/k, c) in libration and
+    # (s, c, k q) in rotation; the addition theorem combines them with
+    # those of v.  The branches differ only in which of cn(v), dn(v)
+    # goes with the angle (a) and which with the momentum (b).
+    a = np.where(rot, cn, dn)
+    b = np.where(rot, dn, cn)
+    gq = g * q
+    out_phi = np.mod(2.0 * np.arctan2(sh * cn * dn + gq * ch * sn,
+                                      ch * a - gq * sh * sn * b), TWO_PI)
+    gs = g * sh * sn
+    out_p = 2.0 * np.sqrt(K) * (q * b - gs * ch * a) / (1.0 - gs * gs)
 
-    out_phi = np.empty_like(phi)
-    out_p = np.empty_like(p)
-    if np.any(lib):
-        out_phi[lib], out_p[lib] = _libration(phi[lib], p[lib], w, K)
-    if np.any(rot):
-        out_phi[rot], out_p[rot] = _rotation(phi[rot], p[rot], w, K)
+    sep = np.abs(mu - 1.0) <= 0.5 * SEPARATRIX_BAND
     if np.any(sep):
         out_phi[sep], out_p[sep] = _separatrix_fallback(phi[sep], p[sep], w, K)
 

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import KickConfig
-from .quantum import (OUTSIDE_BOUNDARY, EvolutionResult, MomentumBasis,
-                      PeriodOperator, build_period_operator,
-                      initial_density, momentum_distribution)
+from .pulses import OUTSIDE_BOUNDARY, KickConfig
+from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
+                      build_period_operator, initial_density,
+                      momentum_distribution)
 
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# |p| beyond which a state counts as outside the cantorus at p = pi/delta
+# for the default delta = 0.1
+OUTSIDE_BOUNDARY = 10.0 * np.pi
 
 
 @dataclass(frozen=True)

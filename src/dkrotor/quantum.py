@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .pulses import KickConfig
-
-OUTSIDE_BOUNDARY = 10.0 * np.pi
+from .pulses import OUTSIDE_BOUNDARY, KickConfig
 
 
 @dataclass(frozen=True)

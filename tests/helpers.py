@@ -33,28 +33,34 @@ def circular_distance(a, b):
     return np.abs(d)
 
 
-def classical_cycle_oracle(phi, p, cfg, rtol=1e-12, atol=1e-12):
-    """One kick cycle by direct integration of the pendulum segments.
+def pendulum_oracle(phi, p, w, K, rtol=1e-12, atol=1e-12):
+    """Pendulum segment of width w by direct integration (angle unwrapped).
 
     All states are stacked into a single ODE system, so the adaptive
     step is controlled by the worst-behaved member of the batch.
     """
-    phi = np.atleast_1d(np.asarray(phi, dtype=float)).copy()
-    p = np.atleast_1d(np.asarray(p, dtype=float)).copy()
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
     n = phi.size
-    K = cfg.K
 
     def rhs(t, y):
         return np.concatenate((y[n:], -K * np.sin(y[:n])))
 
+    sol = solve_ivp(rhs, (0.0, w), np.concatenate((phi, p)),
+                    method="DOP853", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise RuntimeError(f"oracle integration failed: {sol.message}")
+    return sol.y[:n, -1].copy(), sol.y[n:, -1].copy()
+
+
+def classical_cycle_oracle(phi, p, cfg, rtol=1e-12, atol=1e-12):
+    """One kick cycle by direct integration of the pendulum segments."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float)).copy()
+    p = np.atleast_1d(np.asarray(p, dtype=float)).copy()
+
     def pulse(w):
         nonlocal phi, p
-        sol = solve_ivp(rhs, (0.0, w), np.concatenate((phi, p)),
-                        method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError(f"oracle integration failed: {sol.message}")
-        phi = sol.y[:n, -1].copy()
-        p = sol.y[n:, -1].copy()
+        phi, p = pendulum_oracle(phi, p, w, cfg.K, rtol, atol)
 
     def drift(w):
         nonlocal phi

@@ -8,7 +8,7 @@ from dkrotor.classical import (HISTOGRAM_BINS, HISTOGRAM_SPAN, PhasePoint,
                                pendulum_step, poincare_section,
                                propagate_ensemble, sample_initial)
 from dkrotor.pulses import TWO_PI, KickConfig
-from helpers import circular_distance, classical_cycle_oracle
+from helpers import circular_distance, classical_cycle_oracle, pendulum_oracle
 
 
 def _random_states(n, seed, p_scale):
@@ -53,6 +53,37 @@ def test_pendulum_step_reflection_symmetry():
     refl = pendulum_step(PhasePoint(np.mod(-phi, TWO_PI), -p), 0.05, K)
     np.testing.assert_allclose(refl.p, -fwd.p, atol=1e-11)
     assert np.max(circular_distance(refl.phi, -fwd.phi)) < 1e-12
+
+
+def test_pendulum_step_turning_points():
+    # librating points at rest or nearly so, where sin(phi/2)/k sits at
+    # or near +-1; the bound is criterion 02's
+    K, w = 280.0, 0.05
+    phi, p = np.meshgrid([0.3, 1.0, 2.0, 2.8, 3.1], [0.0, 1e-7, 1e-4])
+    phi, p = phi.ravel(), p.ravel()
+    out = pendulum_step(PhasePoint(phi, p), w, K)
+    ref_phi, ref_p = pendulum_oracle(phi, p, w, K)
+    assert np.max(circular_distance(out.phi, ref_phi)) < 1e-8
+    assert np.max(np.abs(out.p - ref_p)) < 1e-8
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["libration", "rotation"])
+def test_pendulum_step_near_separatrix(side):
+    # points on E = K (1 + side * eps) down to twice the fallback band,
+    # with random angles on the energy surface and both signs of p
+    K, w = 280.0, 0.05
+    rng = np.random.default_rng(13)
+    eps = np.repeat([1e-2, 1e-4, 1e-6, 1e-8, 2e-9], 8)
+    E = K * (1.0 + side * eps)
+    reach = np.arccos(np.maximum(-E / K, -1.0))  # |phi| with real p
+    phi = rng.uniform(-1.0, 1.0, eps.size) * reach
+    p = np.tile([1.0, -1.0], eps.size // 2) * np.sqrt(
+        np.maximum(2.0 * (E + K * np.cos(phi)), 0.0))
+    assert np.all(np.sign(0.5 * p * p - K * np.cos(phi) - K) == side)
+    out = pendulum_step(PhasePoint(np.mod(phi, TWO_PI), p), w, K)
+    ref_phi, ref_p = pendulum_oracle(phi, p, w, K)
+    assert np.max(circular_distance(out.phi, ref_phi)) < 1e-8
+    assert np.max(np.abs(out.p - ref_p)) < 1e-8
 
 
 def test_cycle_jacobian_determinant_unity():
