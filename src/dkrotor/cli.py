@@ -24,7 +24,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,9 @@ _FIELD_SECTION = {key: section for section, key, _ in CONFIG_FIELDS}
 
 
 def _fmt(x) -> str:
-    """Shortest decimal that round-trips; integers and strings pass through."""
+    """17 significant digits for floats, enough to round-trip though not
+    always the shortest (0.1 is written 0.10000000000000001); integers
+    and strings pass through, bools are written true/false."""
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
@@ -255,12 +257,43 @@ def _json_safe(value):
     return value
 
 
+def _column_format(value) -> str:
+    """%-conversion that spells a column as _fmt spells its values;
+    %s marks a column whose values go through _fmt itself."""
+    if isinstance(value, (bool, np.bool_, str)):
+        return "%s"
+    if isinstance(value, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
 def _write_csv(path: Path, header, rows, written: list) -> None:
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Stream rows to path.  Each column takes its %-conversion from its
+    first-row value, %d for integers and %.17g for floats, which spell
+    values as _fmt does; bool and string columns go through _fmt."""
+    rows = iter(rows)
+    first = next(rows, None)
+    with path.open("w") as fh:
+        fh.write(",".join(str(h) for h in header) + "\n")
+        if first is not None:
+            formats = [_column_format(v) for v in first]
+            line = ",".join(formats) + "\n"
+            text = [i for i, f in enumerate(formats) if f == "%s"]
+            for row in chain([first], rows):
+                if text:
+                    row = list(row)
+                    for i in text:
+                        row[i] = _fmt(row[i])
+                fh.write(line % tuple(row))
     written.append(path)
+
+
+def _table_rows(table, *labels):
+    """Rows [labels[0][i], ..., *table[i]] as Python scalars, made one at
+    a time."""
+    columns = [np.asarray(col).tolist() for col in labels]
+    for *head, row in zip(*columns, table):
+        yield head + row.tolist()
 
 
 def _write_json(path: Path, payload: dict, written: list) -> None:
@@ -272,11 +305,11 @@ def _write_json(path: Path, payload: dict, written: list) -> None:
 def _write_outside(path, outside, written, stderr=None, realizations=None):
     if stderr is None:
         header = ("kick", "outside_fraction")
-        rows = list(enumerate(outside))
+        rows = enumerate(outside.tolist())
     else:
         header = ("kick", "outside_fraction", "stderr", "realizations")
-        rows = [(t, frac, err, realizations)
-                for t, (frac, err) in enumerate(zip(outside, stderr))]
+        rows = ((t, frac, err, realizations) for t, (frac, err)
+                in enumerate(zip(outside.tolist(), stderr.tolist())))
     _write_csv(path, header, rows, written)
 
 
@@ -289,10 +322,8 @@ def _run_classical(spec, out, written):
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
     result = propagate_ensemble(ensemble, cfg, spec.kicks)
     hist = result.histogram
-    rows = [[center, *hist.counts[:, b]]
-            for b, center in enumerate(hist.bin_centers)]
     _write_csv(out / "momentum_histogram.csv", _kick_header("p", spec.kicks),
-               rows, written)
+               _table_rows(hist.counts.T, hist.bin_centers), written)
     _write_outside(out / "outside_fraction.csv", result.outside_fraction,
                    written)
     if len(result.outside_fraction) >= 10:
@@ -311,10 +342,9 @@ def _evolved_density(spec, op, rho0):
 
 
 def _write_distributions(path, basis, dists, kicks, written):
-    rows = [[n, p, *dists[:, i]]
-            for i, (n, p) in enumerate(zip(basis.indices, basis.momenta))]
     header = ["n", "p"] + [f"kick_{t}" for t in range(kicks + 1)]
-    _write_csv(path, header, rows, written)
+    _write_csv(path, header,
+               _table_rows(dists.T, basis.indices, basis.momenta), written)
 
 
 def _run_quantum(spec, out, written):
@@ -342,14 +372,15 @@ def _run_floquet(spec, out, written):
     dec = decompose(op)
     order = np.argsort(dec.quasi_energies)
     _write_csv(out / "quasi_energies.csv", ("state", "quasi_energy"),
-               [(int(i), dec.quasi_energies[i]) for i in order], written)
+               zip(order.tolist(), dec.quasi_energies[order].tolist()),
+               written)
     M = asymptotic_matrix(dec)
     header = ["n"] + [f"n0_{n}" for n in basis.indices]
-    rows = [[n, *M[i]] for i, n in enumerate(basis.indices)]
-    _write_csv(out / "asymptotic_matrix.csv", header, rows, written)
+    _write_csv(out / "asymptotic_matrix.csv", header,
+               _table_rows(M, basis.indices), written)
     logM = np.log10(np.maximum(M, MATRIX_LOG_FLOOR))
-    rows = [[n, *logM[i]] for i, n in enumerate(basis.indices)]
-    _write_csv(out / "asymptotic_matrix_log10.csv", header, rows, written)
+    _write_csv(out / "asymptotic_matrix_log10.csv", header,
+               _table_rows(logM, basis.indices), written)
     _write_json(out / "floquet_diagnostics.json", {
         "K": spec.K, "hbar": spec.hbar, "basis_size": spec.basis_size,
         "unitarity_defect": unitarity_defect(op.U),
@@ -365,8 +396,8 @@ def _run_wigner(spec, out, written):
     result = _evolved_density(spec, op, initial_density(cfg, basis))
     grid = wigner_transform(result.final_density, basis)
     header = ["P\\X"] + [_fmt(x) for x in grid.coarse_positions]
-    rows = [[p, *grid.coarse[l]] for l, p in enumerate(grid.coarse_momenta)]
-    _write_csv(out / "wigner_coarse.csv", header, rows, written)
+    _write_csv(out / "wigner_coarse.csv", header,
+               _table_rows(grid.coarse, grid.coarse_momenta), written)
     _write_json(out / "strangeness.json", {
         "K": spec.K, "eta": spec.eta, "kicks": spec.kicks,
         "decoherence": spec.decoherence, "S": strangeness(grid),
@@ -407,9 +438,9 @@ def _run_compare(spec, out, written):
                                     spec.kicks).outside_fraction),
     ]
     header = ["kick"] + [name for name, _ in curves]
-    rows = [[t, *(curve[t] for _, curve in curves)]
-            for t in range(spec.kicks + 1)]
-    _write_csv(out / "comparison.csv", header, rows, written)
+    table = np.column_stack([curve for _, curve in curves])
+    _write_csv(out / "comparison.csv", header,
+               _table_rows(table, range(spec.kicks + 1)), written)
     return [spec.seed]
 
 
@@ -501,7 +532,9 @@ def _aggregate_sweep(results, root: Path) -> None:
         fit_path = run_dir / "flux_fit.json"
         if fit_path.exists():
             fit = json.loads(fit_path.read_text())
-            flux_rows.append((fit["K"], fit["F"], fit["a"], fit["valid"]))
+            # a rejected fit's nan F and a come back from JSON as null
+            F, a = (np.nan if v is None else v for v in (fit["F"], fit["a"]))
+            flux_rows.append((fit["K"], F, a, fit["valid"]))
         s_path = run_dir / "strangeness.json"
         if s_path.exists():
             info = json.loads(s_path.read_text())

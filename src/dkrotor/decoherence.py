@@ -32,7 +32,7 @@ import numpy as np
 
 from .pulses import OUTSIDE_BOUNDARY, KickConfig
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
-                      build_period_operator, initial_density,
+                      build_period_operator, evolve_density, initial_density,
                       momentum_distribution)
 
 ANTI_ZENO = "anti-zeno"
@@ -83,16 +83,21 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
                   kicks: int) -> EvolutionResult:
     """Interleave coherent cycles with a decoherence map, map second.
 
-    model is None for purely coherent evolution, an EmissionModel for
-    the spontaneous-emission map, or the string "anti-zeno".  Anti-Zeno
-    runs keep only the diagonal, so they propagate the distribution
-    with the doubly stochastic matrix |U|^2 once the state is diagonal.
+    model is None for purely coherent evolution (evolve_density), an
+    EmissionModel for the spontaneous-emission map, or the string
+    "anti-zeno".  Anti-Zeno runs keep only the diagonal, so they
+    propagate the distribution with the doubly stochastic matrix |U|^2
+    once the state is diagonal.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
+    if model is None:
+        return evolve_density(rho0, op, kicks)
     if isinstance(model, EmissionModel) and model.recoil_mode == "continuous":
         raise ValueError("continuous recoil needs mc_wavefunction_run; "
                          "the density-matrix map is inherently discretized")
+    if not (isinstance(model, EmissionModel) or model == ANTI_ZENO):
+        raise ValueError(f"unknown decoherence model: {model!r}")
 
     U = op.U
     basis = op.basis
@@ -120,13 +125,10 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
         return EvolutionResult(distributions=dists, outside_fraction=outside,
                                final_density=np.diag(d).astype(complex))
 
+    U_dag = U.conj().T
     rho = rho0
     for t in range(1, kicks + 1):
-        rho = U @ rho @ U.conj().T
-        if isinstance(model, EmissionModel):
-            rho = spontaneous_emission_map(rho, model.eta)
-        elif model is not None:
-            raise ValueError(f"unknown decoherence model: {model!r}")
+        rho = spontaneous_emission_map(U @ rho @ U_dag, model.eta)
         dists[t], outside[t] = momentum_distribution(rho, basis)
     return EvolutionResult(distributions=dists, outside_fraction=outside,
                            final_density=rho)

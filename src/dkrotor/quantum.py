@@ -12,6 +12,12 @@ couples neighboring rungs with -K/2).  The one-period operator is
 built from the eigendecomposition of the real symmetric tridiagonal
 pulse Hamiltonian.  Truncation is a hard wall; the basis is sized so the
 state never reaches the edge (the +-30*pi tori confine it first).
+
+Coherent evolution never forms U rho U+.  The density matrix is
+factored once into amplitude columns, rho = W W+ (from its
+eigendecomposition, columns V_m sqrt(lambda_m)), so rho_t = W_t W_t+ with
+W_t = U^t W: each kick is one product U @ W, and the momentum
+distribution is the row sums of |W_t|^2.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .pulses import OUTSIDE_BOUNDARY, KickConfig
+
+# largest anti-Hermitian part and most negative eigenvalue accepted in a
+# density matrix handed to evolve_density
+DENSITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,6 @@ class EvolutionResult:
     distributions: np.ndarray
     outside_fraction: np.ndarray
     final_density: np.ndarray
-    densities: list | None = None
 
 
 def initial_density(cfg: KickConfig, basis: MomentumBasis) -> np.ndarray:
@@ -135,28 +144,50 @@ def momentum_distribution(rho: np.ndarray, basis: MomentumBasis):
     return probs, outside
 
 
-def evolve_density(rho: np.ndarray, op: PeriodOperator, kicks: int,
-                   keep_densities: bool = False) -> EvolutionResult:
-    """Conjugate rho by U once per kick, recording the diagonal each time."""
+def _amplitude_columns(rho: np.ndarray) -> np.ndarray:
+    """W with rho = W W+, from the eigendecomposition of rho.
+
+    Column m is sqrt(lambda_m) times eigenvector m.  rho must be Hermitian
+    and positive semidefinite to DENSITY_TOL; eigenvalues inside the
+    tolerance below 0 count as 0.
+    """
+    skew = float(np.max(np.abs(rho - rho.conj().T)))
+    if skew > DENSITY_TOL:
+        raise ValueError(f"rho must be Hermitian, max |rho - rho+| = "
+                         f"{skew:.3g}")
+    lam, V = np.linalg.eigh(rho)
+    if lam[0] < -DENSITY_TOL:
+        raise ValueError(f"rho must be positive semidefinite, smallest "
+                         f"eigenvalue {lam[0]:.3g}")
+    return V * np.sqrt(np.maximum(lam, 0.0))
+
+
+def evolve_density(rho: np.ndarray, op: PeriodOperator,
+                   kicks: int) -> EvolutionResult:
+    """Coherent evolution of rho, recording the diagonal after each kick.
+
+    rho is factored once into amplitude columns W (rho = W W+); each kick
+    is W <- U W, the distribution is sum_m |W[n, m]|^2 and the final
+    density matrix is W W+.
+    """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
     U = op.U
     basis = op.basis
-    N = basis.size
-    dists = np.empty((kicks + 1, N))
+    outer = np.abs(basis.momenta) > OUTSIDE_BOUNDARY
+    dists = np.empty((kicks + 1, basis.size))
     outside = np.empty(kicks + 1)
-    densities = [] if keep_densities else None
 
+    W = _amplitude_columns(rho)
     dists[0], outside[0] = momentum_distribution(rho, basis)
-    if keep_densities:
-        densities.append(rho.copy())
     for t in range(1, kicks + 1):
-        rho = U @ rho @ U.conj().T
-        dists[t], outside[t] = momentum_distribution(rho, basis)
-        if keep_densities:
-            densities.append(rho.copy())
+        W = U @ W
+        # row sums of |W|^2 over the interleaved real and imaginary parts
+        re_im = W.view(np.float64)
+        dists[t] = np.einsum("ij,ij->i", re_im, re_im)
+        outside[t] = float(dists[t, outer].sum())
     return EvolutionResult(distributions=dists, outside_fraction=outside,
-                           final_density=rho, densities=densities)
+                           final_density=W @ W.conj().T)
 
 
 def unitarity_defect(U: np.ndarray) -> float:

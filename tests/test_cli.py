@@ -275,6 +275,57 @@ out = unused
     assert flux[1].split(",")[0] == "80"
 
 
+def test_sweep_writes_rejected_flux_fit_as_nan(tmp_path, capsys):
+    # at sigma_p = 70 and 80 the ensemble starts beyond the fit window's
+    # usable range, so fit_flux returns F = a = nan
+    path = _write_config(tmp_path, """
+[system]
+K = 280
+sigma_p = 60, 70, 80
+
+[run]
+mode = classical
+kicks = 12
+ensemble = 2000
+seed = 1
+""")
+    root = tmp_path / "root"
+    code = main(["sweep", "--config", path, "--out", str(root)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == []
+    assert json.loads((root / "sweep_report.json").read_text())["failed"] == 0
+    lines = (root / "flux_vs_K.csv").read_text().splitlines()
+    assert lines[0] == "K,F,a,valid"
+    assert len(lines) == 4
+    assert lines[2:] == ["280,nan,nan,false"] * 2
+
+
+def test_write_csv_matches_per_value_fmt(tmp_path):
+    tables = [
+        (("n", "p", "x"),
+         [(np.int64(-3), np.float64(0.1), -0.0),
+          (np.int64(7), np.float64(np.nan), np.inf),
+          (12, 1.0 / 3.0, -np.inf)]),
+        (("K", "F", "a", "valid"),
+         [(280.0, float("nan"), float("nan"), False),
+          (80.0, 1.5e-4, -3.25e-6, np.bool_(True))]),
+        (("label", "k", "v"),
+         [("a", 0, 2.5), ("b", np.int64(2**40), np.float64(1e-300))]),
+        (("only",), []),
+    ]
+    for i, (header, rows) in enumerate(tables):
+        path = tmp_path / f"t{i}.csv"
+        written = []
+        cli._write_csv(path, header, iter(rows), written)
+        expected = [",".join(header)] + [",".join(cli._fmt(v) for v in row)
+                                         for row in rows]
+        assert path.read_text() == "\n".join(expected) + "\n"
+        assert written == [path]
+    assert (tmp_path / "t0.csv").read_text().splitlines()[1:] == [
+        "-3,0.10000000000000001,-0", "7,nan,inf",
+        "12,0.33333333333333331,-inf"]
+
+
 def test_main_validate_ok(tmp_path, capsys):
     code = main(["validate", "--config",
                  _classical_config(tmp_path, tmp_path / "x")])

@@ -123,18 +123,63 @@ def test_evolution_bookkeeping():
     cfg = KickConfig(K=280.0)
     op = build_period_operator(cfg, BASIS)
     rho = initial_density(cfg, BASIS)
-    res = evolve_density(rho, op, 12, keep_densities=True)
+    res = evolve_density(rho, op, 12)
     assert res.distributions.shape == (13, 128)
     np.testing.assert_allclose(res.distributions.sum(axis=1), 1.0, atol=1e-10)
     assert np.all(res.distributions > -1e-12)
     assert np.all((res.outside_fraction >= 0.0) & (res.outside_fraction <= 1.0))
-    assert len(res.densities) == 13
     np.testing.assert_array_equal(res.distributions[0], np.real(np.diag(rho)))
     final = res.final_density
     assert np.trace(final).real == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(final - final.conj().T)) < 1e-12
     with pytest.raises(ValueError):
         evolve_density(rho, op, 0)
+
+
+def _dense_evolution(rho, op, kicks):
+    """The U rho U+ loop that evolve_density's amplitude columns replace."""
+    dists = [np.real(np.diag(rho))]
+    for _ in range(kicks):
+        rho = op.U @ rho @ op.U.conj().T
+        dists.append(np.real(np.diag(rho)))
+    return np.array(dists), rho
+
+
+@pytest.mark.parametrize("start", ["mixed", "pure"])
+def test_evolve_density_matches_dense_loop(start):
+    cfg = KickConfig(K=280.0)
+    op = build_period_operator(cfg, BASIS)
+    psi = narrow_packet(BASIS, center=3, width=6.0, seed=5)
+    packet = np.outer(psi, psi.conj())
+    rho = (0.7 * initial_density(cfg, BASIS) + 0.3 * packet
+           if start == "mixed" else packet)
+    res = evolve_density(rho, op, 15)
+    dists, final = _dense_evolution(rho, op, 15)
+    outside = np.array([momentum_distribution(np.diag(d), BASIS)[1]
+                        for d in dists])
+    np.testing.assert_allclose(res.distributions, dists, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.outside_fraction, outside, rtol=0,
+                               atol=1e-13)
+    np.testing.assert_allclose(res.final_density, final, rtol=0, atol=1e-13)
+
+
+def test_evolve_density_rejects_non_density_matrix():
+    cfg = KickConfig(K=280.0)
+    op = build_period_operator(cfg, BASIS)
+    rho = initial_density(cfg, BASIS)
+    skewed = rho.copy()
+    skewed[0, 1] = 1e-9j
+    with pytest.raises(ValueError, match="rho must be Hermitian"):
+        evolve_density(skewed, op, 3)
+    negative = rho.copy()
+    negative[0, 0] = -1e-10
+    with pytest.raises(ValueError, match="rho must be positive semidefinite"):
+        evolve_density(negative, op, 3)
+    # roundoff-sized defects are accepted
+    noisy = rho.copy()
+    noisy[0, 0] = -1e-14
+    noisy[0, 1] = 1e-14j
+    evolve_density(noisy, op, 3)
 
 
 def test_truncation_converged_at_default_size():
