@@ -4,9 +4,9 @@ localization, decoherence, and toroidal Wigner diagnostics."""
 __version__ = "0.1.0"
 
 from .classical import (ClassicalEnsemble, MomentumHistogram, PhasePoint,
-                        PoincareSection, PropagationResult, free_step,
-                        kick_cycle, momentum_bin_edges, pendulum_step,
-                        poincare_section, propagate_ensemble, sample_initial)
+                        PropagationResult, free_step, kick_cycle,
+                        momentum_bin_edges, pendulum_step, propagate_ensemble,
+                        sample_initial)
 from .decoherence import (ANTI_ZENO, EmissionModel, MCResult, OperatorCache,
                           anti_zeno_map, mc_wavefunction_run, run_decohered,
                           spontaneous_emission_map)
@@ -30,7 +30,7 @@ __all__ = [
     "ANTI_ZENO", "ClassicalEnsemble", "DiffusionFit", "EmissionModel",
     "EvolutionResult", "FloquetDecomposition", "KickConfig", "MCResult",
     "MomentumBasis", "MomentumHistogram", "OperatorCache", "PeriodOperator",
-    "PhasePoint", "PoincareSection", "PropagationResult", "PulseProfile",
+    "PhasePoint", "PropagationResult", "PulseProfile",
     "WidthCalibration", "WignerGrid",
     "anti_zeno_map", "asymptotic_distribution", "asymptotic_from_density",
     "asymptotic_matrix", "build_period_operator", "calibrate_packet_width",
@@ -38,7 +38,7 @@ __all__ = [
     "fit_flux", "flux_from_rate", "fourier_coefficient", "free_step",
     "gaussian_packet", "initial_density", "kick_cycle", "mc_wavefunction_run",
     "model_inside", "model_outside", "momentum_bin_edges",
-    "momentum_distribution", "pendulum_step", "poincare_section",
+    "momentum_distribution", "pendulum_step",
     "propagate_ensemble", "pulse_value", "reconstruct_profile",
     "run_decohered", "sample_initial", "spontaneous_emission_map",
     "strangeness", "strangeness_sweep", "two_packet_mixture",

@@ -15,10 +15,11 @@ m = k^2 = mu, and a rotating one (mu > 1) has phi/2 = am(u),
 p = +-(2 sqrt(K)/k) dn(u) with m = k^2 = 1/mu; the argument u advances
 by v = sqrt(K) w / g over a pulse of width w, where g = 1 or k.  sn, cn
 and dn of the starting argument are read off the state (dn carrying the
-sign of p on rotating orbits), so one ellipj(v, m) call over all points
-gives the end state in closed form, with no incomplete integral and no
-reflection of p < 0 states.  A thin band around the separatrix, where
-the moduli degenerate, falls back to an adaptive integrator.
+sign of p on rotating orbits), so sn, cn and dn of v give the end state
+in closed form.  They come from the Maclaurin series at v / 2^j and j
+argument doublings (DLMF 22.10(i), 22.6(ii)), written in the parameter
+m' = 1 - m that the state gives without cancellation, so points on and
+near the separatrix take the same path as all others.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import ellipj
 
 from .pulses import OUTSIDE_BOUNDARY, TWO_PI, KickConfig
 
-# relative half-width of the separatrix band routed to the fallback
+# read only by perfbench's tracer, which labels points by it; ROADMAP
+# item 4 deletes both
 SEPARATRIX_BAND = 1e-9
 
 HISTOGRAM_SPAN = 35.0 * np.pi
@@ -78,42 +78,58 @@ class PropagationResult:
     max_abs_p: np.ndarray
 
 
-@dataclass
-class PoincareSection:
-    """Strobed points of n_orbits trajectories; orbit[i] labels the orbit."""
-
-    phi: np.ndarray
-    p: np.ndarray
-    orbit: np.ndarray
+def _wrap(phi):
+    """phi mod 2*pi in [0, 2*pi); np.mod rounds a tiny negative phi up to
+    2*pi itself."""
+    phi = np.mod(phi, TWO_PI)
+    return np.where(phi < TWO_PI, phi, 0.0)
 
 
 def free_step(s: PhasePoint, w: float) -> PhasePoint:
     """Free rotation for time w: phi advances by p*w, p unchanged."""
     if np.ndim(s.phi) == 0 and np.ndim(s.p) == 0:
-        return PhasePoint(float(np.mod(s.phi + s.p * w, TWO_PI)), float(s.p))
-    phi = np.mod(np.asarray(s.phi, dtype=float) + np.asarray(s.p, dtype=float) * w,
-                 TWO_PI)
-    return PhasePoint(phi, np.asarray(s.p, dtype=float))
+        return PhasePoint(float(_wrap(s.phi + s.p * w)), float(s.p))
+    p = np.asarray(s.p, dtype=float)
+    return PhasePoint(_wrap(np.asarray(s.phi, dtype=float) + p * w), p)
 
 
-def _separatrix_fallback(phi, p, w, K):
-    """Adaptive integration for points too close to the separatrix."""
-    out_phi = np.empty_like(phi)
-    out_p = np.empty_like(p)
-    for i in range(phi.size):
-        sol = solve_ivp(lambda t, y: (y[1], -K * np.sin(y[0])), (0.0, w),
-                        (phi[i], p[i]), method="DOP853",
-                        rtol=1e-12, atol=1e-12)
-        out_phi[i] = sol.y[0, -1]
-        out_p[i] = sol.y[1, -1]
-    return np.mod(out_phi, TWO_PI), out_p
+def _jacobi(v, m, mc):
+    """sn, cn, dn(v | m) for v >= 0 and 0 <= m <= 1, given mc = 1 - m.
+
+    sn's series through v^9 at v / 2^j < 0.05 (the next term is below
+    roundoff) gives cn and dn by sn^2 + cn^2 = dn^2 + m sn^2 = 1, and j
+    doublings follow.  They take 1 - m sn^4 as cn^2 (1 + sn^2) + mc sn^4
+    and dn(2u) as (mc + m cn^4) over it, where the textbook forms subtract
+    nearly equal numbers as m -> 1.
+    """
+    j = max(0, int(np.frexp(np.max(v, initial=0.0) / 0.05)[1]))
+    u = np.ldexp(v, -j)
+    u2 = u * u
+    sn = u * (1.0 - u2 * ((1.0 + m) / 6.0 - u2 * (
+        (1.0 + m * (14.0 + m)) / 120.0 - u2 * (
+            (1.0 + m * (135.0 + m * (135.0 + m))) / 5040.0 - u2 * (
+                1.0 + m * (1228.0 + m * (5478.0 + m * (1228.0 + m))))
+            / 362880.0))))
+    s2 = sn * sn
+    cn = np.sqrt(1.0 - s2)
+    dn = np.sqrt(1.0 - m * s2)
+    for _ in range(j):
+        c2 = cn * cn
+        s4 = s2 * s2
+        c4 = c2 * c2
+        den = c2 * (1.0 + s2) + mc * s4
+        sn = 2.0 * sn * cn * dn / den
+        cn = (c4 - mc * s4) / den
+        dn = (mc + m * c4) / den
+        s2 = sn * sn
+    return sn, cn, dn
 
 
 def pendulum_step(s: PhasePoint, w: float, K: float) -> PhasePoint:
     """Exact pendulum evolution for time w under H = p^2/2 - K cos(phi).
 
-    Energy is conserved to machine precision on both elliptic branches;
-    |E - K| <= 1e-9 K falls back to an adaptive integrator.
+    Energy is conserved to machine precision on both elliptic branches
+    and on the separatrix between them.
     """
     if K < 0.0:
         raise ValueError(f"K must be >= 0, got {K}")
@@ -122,20 +138,20 @@ def pendulum_step(s: PhasePoint, w: float, K: float) -> PhasePoint:
     if K == 0.0 or w == 0.0:
         return free_step(s, w)
 
-    phi = np.atleast_1d(np.asarray(s.phi, dtype=float))
-    p = np.atleast_1d(np.asarray(s.p, dtype=float))
-    phi, p = np.broadcast_arrays(phi, p)
-
+    phi = np.asarray(s.phi, dtype=float)
     sh = np.sin(0.5 * phi)
     ch = np.cos(0.5 * phi)
-    q = p / (2.0 * np.sqrt(K))
+    q = np.asarray(s.p, dtype=float) / (2.0 * np.sqrt(K))
     mu = q * q + sh * sh  # (E + K) / 2K
-    rot = mu > 1.0
-    # libration: m = mu, g = 1; rotation: m = 1/mu, g = k = 1/sqrt(mu)
+    gap = ch * ch - q * q  # 1 - mu
+    rot = gap < 0.0
+    # libration: m = mu, g = 1; rotation: m = 1/mu, g = k = 1/sqrt(mu);
+    # on both branches m' = 1 - m = |gap| / scale
     scale = np.where(rot, mu, 1.0)
     inv = 1.0 / scale
     g = np.sqrt(inv)
-    sn, cn, dn, _ = ellipj(np.sqrt(K * scale) * w, np.where(rot, inv, mu))
+    sn, cn, dn = _jacobi(np.sqrt(K * scale) * w, np.where(rot, inv, mu),
+                         np.abs(gap) * inv)
     # sn, cn, dn of the start u0 are (s/k, q/k, c) in libration and
     # (s, c, k q) in rotation; the addition theorem combines them with
     # those of v.  The branches differ only in which of cn(v), dn(v)
@@ -143,17 +159,13 @@ def pendulum_step(s: PhasePoint, w: float, K: float) -> PhasePoint:
     a = np.where(rot, cn, dn)
     b = np.where(rot, dn, cn)
     gq = g * q
-    out_phi = np.mod(2.0 * np.arctan2(sh * cn * dn + gq * ch * sn,
-                                      ch * a - gq * sh * sn * b), TWO_PI)
+    out_phi = _wrap(2.0 * np.arctan2(sh * cn * dn + gq * ch * sn,
+                                     ch * a - gq * sh * sn * b))
     gs = g * sh * sn
     out_p = 2.0 * np.sqrt(K) * (q * b - gs * ch * a) / (1.0 - gs * gs)
 
-    sep = np.abs(mu - 1.0) <= 0.5 * SEPARATRIX_BAND
-    if np.any(sep):
-        out_phi[sep], out_p[sep] = _separatrix_fallback(phi[sep], p[sep], w, K)
-
-    if np.ndim(s.phi) == 0 and np.ndim(s.p) == 0:
-        return PhasePoint(float(out_phi[0]), float(out_p[0]))
+    if np.ndim(out_phi) == 0:
+        return PhasePoint(float(out_phi), float(out_p))
     return PhasePoint(out_phi, out_p)
 
 
@@ -211,27 +223,3 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, cfg: KickConfig,
         histogram=MomentumHistogram(bin_edges=edges, counts=counts),
         outside_fraction=outside,
         max_abs_p=max_abs_p)
-
-
-def poincare_section(cfg: KickConfig, n_orbits: int,
-                     n_periods: int) -> PoincareSection:
-    """Strobe n_orbits trajectories once per cycle for n_periods cycles.
-
-    Launch points are deterministic: momenta spread evenly over
-    [-32*pi, 32*pi], angles on a golden-ratio sequence so no two orbits
-    share a symmetry line.
-    """
-    if n_orbits < 1 or n_periods < 1:
-        raise ValueError("n_orbits and n_periods must be >= 1")
-    idx = np.arange(n_orbits)
-    p0 = np.linspace(-32.0 * np.pi, 32.0 * np.pi, n_orbits)
-    phi0 = np.mod(idx * 0.6180339887498949, 1.0) * TWO_PI
-    phis = np.empty((n_periods + 1, n_orbits))
-    ps = np.empty((n_periods + 1, n_orbits))
-    state = PhasePoint(phi0, p0)
-    phis[0], ps[0] = state.phi, state.p
-    for t in range(1, n_periods + 1):
-        state = kick_cycle(state, cfg)
-        phis[t], ps[t] = state.phi, state.p
-    orbit = np.tile(idx, n_periods + 1)
-    return PoincareSection(phi=phis.ravel(), p=ps.ravel(), orbit=orbit)

@@ -523,7 +523,8 @@ def sweep(pairs, root, workers: int = 1) -> list:
 
 
 def _aggregate_sweep(results, root: Path) -> None:
-    """Collect per-run scalars into plot-ready tables."""
+    """Collect per-run scalars into plot-ready tables, one row per run
+    and named by it in the last column."""
     flux_rows, s_rows = [], []
     for name, manifest, err in results:
         if err is not None:
@@ -534,19 +535,20 @@ def _aggregate_sweep(results, root: Path) -> None:
             fit = json.loads(fit_path.read_text())
             # a rejected fit's nan F and a come back from JSON as null
             F, a = (np.nan if v is None else v for v in (fit["F"], fit["a"]))
-            flux_rows.append((fit["K"], F, a, fit["valid"]))
+            flux_rows.append((fit["K"], F, a, fit["valid"], name))
         s_path = run_dir / "strangeness.json"
         if s_path.exists():
             info = json.loads(s_path.read_text())
-            s_rows.append((info["K"], info["eta"], info["S"]))
+            s_rows.append((info["K"], info["eta"], info["S"], name))
     sink: list = []
     if flux_rows:
         flux_rows.sort(key=lambda r: r[0])
-        _write_csv(root / "flux_vs_K.csv", ("K", "F", "a", "valid"),
+        _write_csv(root / "flux_vs_K.csv", ("K", "F", "a", "valid", "run"),
                    flux_rows, sink)
     if s_rows:
         s_rows.sort(key=lambda r: (r[0], r[1]))
-        _write_csv(root / "strangeness.csv", ("K", "eta", "S"), s_rows, sink)
+        _write_csv(root / "strangeness.csv", ("K", "eta", "S", "run"), s_rows,
+                   sink)
 
 
 def _apply_overrides(spec, args):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import ellipj
 
 from dkrotor.classical import (HISTOGRAM_BINS, HISTOGRAM_SPAN, PhasePoint,
-                               free_step, kick_cycle, momentum_bin_edges,
-                               pendulum_step, poincare_section,
+                               _jacobi, free_step, kick_cycle,
+                               momentum_bin_edges, pendulum_step,
                                propagate_ensemble, sample_initial)
 from dkrotor.pulses import TWO_PI, KickConfig
 from helpers import circular_distance, classical_cycle_oracle, pendulum_oracle
@@ -69,7 +70,7 @@ def test_pendulum_step_turning_points():
 
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["libration", "rotation"])
 def test_pendulum_step_near_separatrix(side):
-    # points on E = K (1 + side * eps) down to twice the fallback band,
+    # points on E = K (1 + side * eps) down to eps = 2e-9,
     # with random angles on the energy surface and both signs of p
     K, w = 280.0, 0.05
     rng = np.random.default_rng(13)
@@ -84,6 +85,58 @@ def test_pendulum_step_near_separatrix(side):
     ref_phi, ref_p = pendulum_oracle(phi, p, w, K)
     assert np.max(circular_distance(out.phi, ref_phi)) < 1e-8
     assert np.max(np.abs(out.p - ref_p)) < 1e-8
+
+
+def test_pendulum_step_on_separatrix():
+    # E = K exactly, up to the rounding of p, so mu lands an ulp either
+    # side of 1 and both branches meet m' = 0
+    K, w = 280.0, 0.05
+    rng = np.random.default_rng(17)
+    phi = rng.uniform(-np.pi, np.pi, 40)
+    p = np.tile([1.0, -1.0], 20) * 2.0 * np.sqrt(K) * np.cos(0.5 * phi)
+    out = pendulum_step(PhasePoint(np.mod(phi, TWO_PI), p), w, K)
+    ref_phi, ref_p = pendulum_oracle(phi, p, w, K)
+    assert np.max(circular_distance(out.phi, ref_phi)) < 1e-8
+    assert np.max(np.abs(out.p - ref_p)) < 1e-8
+
+
+def test_pendulum_step_fast_rotators():
+    # the fastest points the histogram spans, at the largest K swept:
+    # v = sqrt(K mu) w ~ 2.9, the longest doubling chain of a default run
+    K, w = 400.0, 0.05
+    rng = np.random.default_rng(19)
+    phi = rng.uniform(0.0, TWO_PI, 60)
+    p = np.tile([1.0, -1.0], 30) * rng.uniform(30.0, 35.0, 60) * np.pi
+    out = pendulum_step(PhasePoint(phi, p), w, K)
+    ref_phi, ref_p = pendulum_oracle(phi, p, w, K)
+    assert np.max(circular_distance(out.phi, ref_phi)) < 1e-8
+    assert np.max(np.abs(out.p - ref_p)) < 1e-8
+
+
+def test_pendulum_step_long_pulse():
+    # alpha = 1 gives w = 0.5 and v up to ~10 at K = 400, where m -> 1
+    # orbits make dn and cn tiny; the textbook doubling, dividing by
+    # 1 - m sn^4, is 1e-6 off here
+    K, w = 400.0, 0.5
+    rng = np.random.default_rng(23)
+    phi = rng.uniform(0.0, TWO_PI, 400)
+    p = rng.uniform(-60.0, 60.0, 400)
+    mu = p * p / (4.0 * K) + np.sin(0.5 * phi) ** 2
+    keep = np.abs(mu - 1.0) >= 1e-3
+    phi, p = phi[keep], p[keep]
+    out = pendulum_step(PhasePoint(phi, p), w, K)
+    ref_phi, ref_p = pendulum_oracle(phi, p, w, K)
+    assert np.max(circular_distance(out.phi, ref_phi)) < 1e-8
+    assert np.max(np.abs(out.p - ref_p)) < 1e-8
+
+
+def test_jacobi_matches_ellipj():
+    m = np.concatenate(([0.0, 1e-12, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0],
+                        np.linspace(0.0, 1.0, 101)))
+    v = np.linspace(0.0, 10.0, 501)
+    v, m = (x.ravel() for x in np.meshgrid(v, m))
+    for got, ref in zip(_jacobi(v, m, 1.0 - m), ellipj(v, m)):
+        assert np.max(np.abs(got - ref)) < 1e-10
 
 
 def test_cycle_jacobian_determinant_unity():
@@ -119,17 +172,17 @@ def test_fixed_points():
     cfg = KickConfig(K=200.0)
     stable = kick_cycle(PhasePoint(0.0, 0.0), cfg)
     assert stable.phi == 0.0 and stable.p == 0.0
-    # (pi, 0) sits exactly on the separatrix, which exercises the
-    # stiff-integration fallback band
+    # (pi, 0) sits exactly on the separatrix, mu = 1, where the
+    # libration and rotation branches meet with m' = 0
     unstable = kick_cycle(PhasePoint(np.pi, 0.0), cfg)
     assert circular_distance(unstable.phi, np.pi) < 1e-9
     assert abs(unstable.p) < 1e-9
 
 
 def test_separatrix_band_is_continuous():
-    # states straddling the fallback band must come out almost
-    # identical, otherwise the elliptic/integrator seam would show up
-    # as a visible tear in phase space
+    # states straddling mu = 1 must come out almost identical,
+    # otherwise the seam between the libration and rotation branches
+    # would show up as a visible tear in phase space
     K = 280.0
     phi0 = 2.0
     for eps in (5e-9, 2e-9):
@@ -148,6 +201,15 @@ def test_free_step_scalar_and_wrap():
     assert isinstance(out.phi, float) and isinstance(out.p, float)
     assert out.phi == pytest.approx(7.0 - TWO_PI, abs=1e-12)
     assert out.p == 2.0
+
+
+def test_free_step_wrap_stays_below_two_pi():
+    # np.mod(-1e-17, 2*pi) rounds up to 2*pi itself
+    out = free_step(PhasePoint(0.0, -1e-17), 1.0)
+    assert isinstance(out.phi, float)
+    assert 0.0 <= out.phi < TWO_PI
+    out = free_step(PhasePoint(np.zeros(2), np.array([-1e-17, -1e-300])), 1.0)
+    assert np.all((out.phi >= 0.0) & (out.phi < TWO_PI))
 
 
 def test_sample_initial_statistics():
@@ -199,17 +261,6 @@ def test_momentum_bin_edges():
     assert edges.shape == (HISTOGRAM_BINS + 1,)
     assert edges[0] == -35.0 * np.pi
     assert edges[-1] == 35.0 * np.pi
-
-
-def test_poincare_section_shape_and_bounds():
-    cfg = KickConfig(K=120.0)
-    sec = poincare_section(cfg, n_orbits=24, n_periods=40)
-    assert sec.phi.shape == sec.p.shape == sec.orbit.shape
-    assert sec.phi.size == 24 * 41
-    assert np.all((sec.phi >= 0.0) & (sec.phi < TWO_PI))
-    assert set(np.unique(sec.orbit)) == set(range(24))
-    with pytest.raises(ValueError):
-        poincare_section(cfg, n_orbits=0, n_periods=10)
 
 
 def test_validation_errors():

@@ -295,9 +295,32 @@ seed = 1
     assert json.loads(capsys.readouterr().out)["failed"] == []
     assert json.loads((root / "sweep_report.json").read_text())["failed"] == 0
     lines = (root / "flux_vs_K.csv").read_text().splitlines()
-    assert lines[0] == "K,F,a,valid"
+    assert lines[0] == "K,F,a,valid,run"
     assert len(lines) == 4
-    assert lines[2:] == ["280,nan,nan,false"] * 2
+    assert lines[1].startswith("280,") and lines[1].endswith(",sigma_p=60")
+    assert lines[2:] == ["280,nan,nan,false,sigma_p=70",
+                         "280,nan,nan,false,sigma_p=80"]
+
+
+def test_sweep_strangeness_rows_name_their_runs(tmp_path):
+    # two runs with the same K and eta differ only in hbar; the run
+    # column is what tells their rows apart
+    path = _write_config(tmp_path, """
+[system]
+K = 80
+hbar = 2.6, 2.0
+
+[run]
+mode = wigner
+kicks = 4
+basis_size = 64
+""")
+    root = tmp_path / "root"
+    sweep(load_sweep(path), root)
+    lines = (root / "strangeness.csv").read_text().splitlines()
+    assert lines[0] == "K,eta,S,run"
+    assert [line.split(",")[3] for line in lines[1:]] == ["hbar=2.6",
+                                                          "hbar=2.0"]
 
 
 def test_write_csv_matches_per_value_fmt(tmp_path):
