@@ -383,8 +383,10 @@ def _run_floquet(spec, out, written):
                _table_rows(logM, basis.indices), written)
     _write_json(out / "floquet_diagnostics.json", {
         "K": spec.K, "hbar": spec.hbar, "basis_size": spec.basis_size,
-        "unitarity_defect": unitarity_defect(op.U),
+        "unitarity_defect": dec.unitarity_defect,
+        "reconstruction_residual": dec.reconstruction_residual,
         "degenerate_clusters": len(dec.degenerate_clusters),
+        "near_cut_gaps": dec.near_cut_gaps,
     }, written)
     return []
 

@@ -12,10 +12,12 @@ a doubly stochastic matrix whose structure exposes the transport
 barriers.  An average over a finite horizon T adds interference from
 every pair whose gap is not well above 2*pi/T; on the q = 0 ladder
 parity doublets have gaps at every scale down to roundoff, so there the
-formula is the T -> infinity limit only.  The decomposition uses a
-complex Schur factorization: for a unitary (hence normal) matrix the
-Schur basis is an orthonormal eigenbasis, which numpy's general
-eigensolver does not guarantee.
+formula is the T -> infinity limit only.  The eigenbasis comes from one
+real symmetric eigensolve: in its time-reversal frame s the period
+operator is complex symmetric, U = s U_s s^-1, and the Cayley transform
+of U_s is a real symmetric matrix with the same eigenvectors (see
+quantum._symmetric_eigh), so the Floquet states are s O with O real
+orthogonal.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
-from .quantum import PeriodOperator, unitarity_defect
+from .quantum import PeriodOperator, _symmetric_eigh, unitarity_defect
 
 UNITARITY_REJECT = 1e-6
-RECONSTRUCTION_TOL = 1e-8
 DEGENERACY_ANGLE = 1e-10
 
 
@@ -41,13 +41,20 @@ class FloquetDecomposition:
     coincide within 1e-10.  decompose rotates each cluster onto
     momentum-localized vectors; the diagonal asymptotic formula depends
     on that choice, since it is not invariant under mixing inside a
-    cluster.
+    cluster.  near_cut_gaps counts the neighboring angle gaps within a
+    decade of that cut, [1e-11, 1e-9]: the pairs whose grouping, and so
+    the asymptotic formula, hinges on it.  unitarity_defect is
+    max |U+ U - I| of the input and reconstruction_residual the
+    eigensolver's max |U z_j - lambda_j z_j| before the cluster rotation.
     """
 
     quasi_energies: np.ndarray
     vectors: np.ndarray
     hbar: float
     degenerate_clusters: tuple
+    near_cut_gaps: int
+    unitarity_defect: float
+    reconstruction_residual: float
 
     @property
     def has_degeneracies(self) -> bool:
@@ -58,15 +65,21 @@ class FloquetDecomposition:
         return np.exp(-1j * self.quasi_energies / self.hbar)
 
 
-def _degenerate_clusters(angles: np.ndarray) -> tuple:
-    """Group indices whose angles (mod 2*pi) agree within tolerance."""
+def _circular_gaps(angles: np.ndarray):
+    """Sort order of angles (mod 2*pi) and the gap after each sorted
+    angle; the last gap wraps around to the first."""
     order = np.argsort(angles)
     srt = angles[order]
-    gaps = np.diff(srt)
-    breaks = np.flatnonzero(gaps > DEGENERACY_ANGLE)
+    gaps = np.append(np.diff(srt), srt[0] + 2.0 * np.pi - srt[-1])
+    return order, gaps
+
+
+def _degenerate_clusters(order: np.ndarray, gaps: np.ndarray) -> tuple:
+    """Group sorted indices whose gaps lie within DEGENERACY_ANGLE."""
+    breaks = np.flatnonzero(gaps[:-1] > DEGENERACY_ANGLE)
     groups = np.split(order, breaks + 1)
     # the circle wraps: first and last group may be one cluster
-    if len(groups) > 1 and (srt[0] + 2.0 * np.pi - srt[-1]) <= DEGENERACY_ANGLE:
+    if len(groups) > 1 and gaps[-1] <= DEGENERACY_ANGLE:
         groups[0] = np.concatenate([groups[-1], groups[0]])
         groups.pop()
     return tuple(tuple(int(i) for i in g) for g in groups if len(g) > 1)
@@ -75,48 +88,48 @@ def _degenerate_clusters(angles: np.ndarray) -> tuple:
 def decompose(U, hbar: float | None = None) -> FloquetDecomposition:
     """Spectral decomposition of a unitary period operator.
 
-    Accepts a PeriodOperator or a plain matrix (then hbar is required).
-    Rejects inputs whose unitarity defect exceeds 1e-6, which signals an
-    upstream construction error rather than roundoff.
+    Accepts a PeriodOperator or a plain complex-symmetric matrix (then
+    hbar is required).  Rejects inputs whose unitarity defect exceeds
+    1e-6, which signals an upstream construction error rather than
+    roundoff.
     """
     if isinstance(U, PeriodOperator):
         hbar = U.basis.hbar
-        U = U.U
+        matrix = U.U
+    else:
+        matrix = U
     if hbar is None:
         raise ValueError("hbar is required when U is a plain matrix")
-    defect = unitarity_defect(U)
+    defect = unitarity_defect(matrix)
     if defect > UNITARITY_REJECT:
         raise ValueError(f"U is not unitary (defect {defect:.2e})")
 
-    T, Z = schur(U, output="complex")
-    lam = np.diag(T)
+    s, O, lam, residual = _symmetric_eigh(U)
     angles = np.mod(-np.angle(lam), 2.0 * np.pi)
-    quasi = hbar * angles
-    clusters = _degenerate_clusters(angles)
+    order, gaps = _circular_gaps(angles)
+    clusters = _degenerate_clusters(order, gaps)
+    near_cut = np.count_nonzero((gaps >= 0.1 * DEGENERACY_ANGLE)
+                                & (gaps <= 10.0 * DEGENERACY_ANGLE))
 
     # Within a degenerate cluster the eigenbasis is arbitrary; fix it by
     # diagonalizing the momentum label there.  Tunneling doublets then
     # come out momentum-localized instead of as even/odd mixtures.  That
     # approximates a finite-time average of |U^t|^2 only over horizons T
     # with splitting * T << 1, where the doublet has not yet dephased;
-    # pairs split by more than 1e-10 keep the solver's basis.
-    idx = np.arange(U.shape[0], dtype=float)
+    # pairs split by more than 1e-10 keep the solver's basis.  The
+    # rotation is real, and it moves the reconstruction residual by at
+    # most the cut.
+    idx = np.arange(O.shape[0], dtype=float)
     for cluster in clusters:
         cols = list(cluster)
-        Zc = Z[:, cols]
-        block = Zc.conj().T @ (idx[:, None] * Zc)
-        _, V = np.linalg.eigh(0.5 * (block + block.conj().T))
-        Z[:, cols] = Zc @ V
-
-    recon = np.max(np.abs(U - (Z * lam) @ Z.conj().T))
-    if recon > RECONSTRUCTION_TOL:
-        raise RuntimeError(
-            f"Schur reconstruction residual {recon:.2e} exceeds tolerance; "
-            "input may be far from normal")
+        Oc = O[:, cols]
+        _, R = np.linalg.eigh(Oc.T @ (idx[:, None] * Oc))
+        O[:, cols] = Oc @ R
 
     return FloquetDecomposition(
-        quasi_energies=quasi, vectors=Z, hbar=hbar,
-        degenerate_clusters=clusters)
+        quasi_energies=hbar * angles, vectors=s[:, None] * O, hbar=hbar,
+        degenerate_clusters=clusters, near_cut_gaps=int(near_cut),
+        unitarity_defect=defect, reconstruction_residual=residual)
 
 
 def asymptotic_distribution(dec: FloquetDecomposition, n0: int) -> np.ndarray:

@@ -13,11 +13,19 @@ built from the eigendecomposition of the real symmetric tridiagonal
 pulse Hamiltonian.  Truncation is a hard wall; the basis is sized so the
 state never reaches the edge (the +-30*pi tori confine it first).
 
+The cycle is palindromic up to the free tail: with the diagonal
+s = F((1 - delta - alpha/2) / 2), the operator U_s = s^-1 U s =
+s P F_gap P s is complex symmetric, because P = V exp(-i Lambda w/hbar) V^T
+with V real.  This time-reversal structure gives U_s a real orthogonal
+eigenbasis O, found by one real symmetric eigensolve of its Cayley
+transform (see _symmetric_eigh).
+
 Coherent evolution never forms U rho U+.  The density matrix is
 factored once into amplitude columns, rho = W W+ (from its
 eigendecomposition, columns V_m sqrt(lambda_m)), so rho_t = W_t W_t+ with
-W_t = U^t W: each kick is one product U @ W, and the momentum
-distribution is the row sums of |W_t|^2.
+W_t = U^t W = s O (lambda^t * C) and C = O^T s^-1 W: each kick is one
+real-by-complex product O @ C, and the momentum distribution is the row
+sums of |W_t|^2.
 """
 
 from __future__ import annotations
@@ -32,6 +40,13 @@ from .pulses import OUTSIDE_BOUNDARY, KickConfig
 # largest anti-Hermitian part and most negative eigenvalue accepted in a
 # density matrix handed to evolve_density
 DENSITY_TOL = 1e-12
+# largest |U_s - U_s^T| accepted as complex symmetric, and largest
+# eigen-residual max |U_s O - O diag(lambda)| accepted from a solve
+SYMMETRY_TOL = 1e-10
+RECONSTRUCTION_TOL = 1e-8
+# Cayley shifts phi tried in turn; shift phi puts the pole of the map on
+# the eigenvalue -exp(-i phi)
+CAYLEY_SHIFTS = (0.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -101,6 +116,62 @@ def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return Y.view(complex).reshape(X.shape)
 
 
+def _time_reversal_frame(op: PeriodOperator) -> np.ndarray:
+    """Diagonal s = F_tail^(1/2), in which s^-1 U s is complex symmetric."""
+    cfg = op.config
+    return op.free_phases(0.5 * (1.0 - cfg.delta - 0.5 * cfg.alpha))
+
+
+def _symmetric_eigh(U) -> tuple:
+    """Real orthogonal eigenbasis of the complex-symmetric form of U.
+
+    U is a PeriodOperator, taken in its time-reversal frame s, or a plain
+    unitary matrix that must already be complex symmetric (then s = 1).
+    With V = exp(i phi) U_s, the Cayley transform
+    H = i (1 + V)^-1 (1 - V) = -2 Im (1 + V)^-1 is Hermitian and symmetric,
+    hence real, and maps the eigenvalue exp(-i theta) of U_s one-to-one
+    onto tan((phi - theta) / 2); one real eigh gives O.  The eigenvalues
+    are the Rayleigh quotients diag(O^T U_s O) scaled to unit modulus.  A
+    shift whose pole sits near the spectrum leaves a large residual and
+    the next one in CAYLEY_SHIFTS is tried.
+
+    Returns (s, O, lambda, residual) with U = (s O) diag(lambda) (s O)+
+    and residual = max |U_s O - O diag(lambda)|.
+    """
+    if isinstance(U, PeriodOperator):
+        s = _time_reversal_frame(U)
+        Us = s.conj()[:, None] * U.U * s
+    else:
+        Us = np.asarray(U, dtype=complex)
+        s = np.ones(Us.shape[0], dtype=complex)
+    asym = float(np.max(np.abs(Us - Us.T)))
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"U must be complex symmetric (time-reversal "
+                         f"symmetric), max |U - U^T| = {asym:.3g}")
+    residual = np.inf
+    diag = np.diag_indices(Us.shape[0])
+    for phi in CAYLEY_SHIFTS:
+        A = np.exp(1j * phi) * Us
+        A[diag] += 1.0
+        try:
+            H = np.linalg.inv(A).imag
+        except np.linalg.LinAlgError:
+            continue
+        del A
+        H *= -2.0
+        _, O = np.linalg.eigh(H)
+        del H
+        UsO = _real_matmul(O.T, Us.T).T
+        lam = np.einsum("ij,ij->j", O, UsO)
+        lam /= np.abs(lam)
+        UsO -= O * lam
+        residual = float(np.max(np.abs(UsO)))
+        if residual <= RECONSTRUCTION_TOL:
+            return s, O, lam, residual
+    raise RuntimeError(f"Floquet reconstruction residual {residual:.2e} "
+                       f"exceeds {RECONSTRUCTION_TOL:g} at every Cayley shift")
+
+
 @dataclass
 class EvolutionResult:
     """Per-kick momentum distributions; row t is after t kicks."""
@@ -166,13 +237,13 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
                    kicks: int) -> EvolutionResult:
     """Coherent evolution of rho, recording the diagonal after each kick.
 
-    rho is factored once into amplitude columns W (rho = W W+); each kick
-    is W <- U W, the distribution is sum_m |W[n, m]|^2 and the final
-    density matrix is W W+.
+    rho is factored once into amplitude columns W (rho = W W+) and taken
+    into the Floquet basis, C = O^T s^-1 W.  Kick t is C <- lambda * C
+    and Y = O C, so that W_t = s Y; since |s| = 1 the distribution is
+    sum_m |Y[n, m]|^2, and the final density matrix is W_t W_t+.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
-    U = op.U
     basis = op.basis
     outer = np.abs(basis.momenta) > OUTSIDE_BOUNDARY
     dists = np.empty((kicks + 1, basis.size))
@@ -180,12 +251,17 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
 
     W = _amplitude_columns(rho)
     dists[0], outside[0] = momentum_distribution(rho, basis)
+    s, O, lam, _ = _symmetric_eigh(op)
+    C = _real_matmul(O.T, s.conj()[:, None] * W)
+    lam = lam[:, None]
     for t in range(1, kicks + 1):
-        W = U @ W
-        # row sums of |W|^2 over the interleaved real and imaginary parts
-        re_im = W.view(np.float64)
+        C *= lam
+        Y = _real_matmul(O, C)
+        # row sums of |Y|^2 over the interleaved real and imaginary parts
+        re_im = Y.view(np.float64)
         dists[t] = np.einsum("ij,ij->i", re_im, re_im)
         outside[t] = float(dists[t, outer].sum())
+    W = s[:, None] * Y
     return EvolutionResult(distributions=dists, outside_fraction=outside,
                            final_density=W @ W.conj().T)
 

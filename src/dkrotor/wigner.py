@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .decoherence import EmissionModel, run_decohered
 from .pulses import KickConfig
@@ -180,6 +179,10 @@ def calibrate_packet_width(basis: MomentumBasis,
     equals the target ratio by construction: the ratio at the optimum is
     not an independent check of the family.
     """
+    # imported here: scipy.optimize would add a large share of the
+    # package's import time to every CLI run, and only this calls it
+    from scipy.optimize import minimize_scalar
+
     tm, ts = targets
 
     def objective(w):

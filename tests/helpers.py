@@ -1,10 +1,12 @@
 """Independent oracles for the test suite.
 
-The first two routes deliberately avoid the machinery used by the
+The first three routes deliberately avoid the machinery used by the
 package: the classical cycle is integrated with an adaptive Runge-Kutta
-stepper instead of elliptic functions, and the quantum period is built
+stepper instead of elliptic functions, the quantum period is built
 from a split-operator scheme on the angle grid instead of the
-tridiagonal eigenbasis.  The trajectory reference runs the Monte Carlo
+tridiagonal eigenbasis, and the Floquet basis comes from a complex Schur
+factorization of the lab-frame U instead of the real Cayley eigensolve.
+The trajectory reference runs the Monte Carlo
 wavefunction model one realization and one kick at a time.  Keep them
 dumb and slow; their only job is to disagree loudly when the fast
 implementations drift.
@@ -14,8 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import schur
 
 from dkrotor.decoherence import OperatorCache
+from dkrotor.floquet import FloquetDecomposition
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
                              initial_density)
 
@@ -143,6 +147,46 @@ def horizon_interference(dec, T):
         B = Z * Z[n0].conj()  # B[n, j] = Z[n, j] Z*[n0, j]
         R[:, n0] = np.real(np.sum((B @ F) * B.conj(), axis=1))
     return R
+
+
+def schur_decomposition(U, hbar, cut=1e-10):
+    """Floquet decomposition of any unitary U by complex Schur.
+
+    For a normal matrix the Schur basis is an orthonormal eigenbasis.
+    Eigenvalue angles whose sorted neighbors lie within `cut` (the circle
+    wrapping) form clusters, and each cluster is rotated onto
+    eigenvectors of the momentum label, as decompose does.
+    """
+    T, Z = schur(U, output="complex")
+    lam = np.diag(T)
+    angles = np.mod(-np.angle(lam), TWO_PI)
+    order = np.argsort(angles)
+    srt = angles[order]
+    gaps = np.append(np.diff(srt), srt[0] + TWO_PI - srt[-1])
+    groups = [[order[0]]]
+    for i, gap in zip(order[1:], gaps[:-1]):
+        if gap <= cut:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if len(groups) > 1 and gaps[-1] <= cut:
+        groups[0] = groups.pop() + groups[0]
+    clusters = tuple(tuple(int(i) for i in g) for g in groups if len(g) > 1)
+    idx = np.arange(U.shape[0], dtype=float)
+    for cluster in clusters:
+        cols = list(cluster)
+        Zc = Z[:, cols]
+        block = Zc.conj().T @ (idx[:, None] * Zc)
+        _, V = np.linalg.eigh(0.5 * (block + block.conj().T))
+        Z[:, cols] = Zc @ V
+    N = U.shape[0]
+    return FloquetDecomposition(
+        quasi_energies=hbar * angles, vectors=Z, hbar=hbar,
+        degenerate_clusters=clusters,
+        near_cut_gaps=int(np.count_nonzero((gaps >= 0.1 * cut)
+                                           & (gaps <= 10.0 * cut))),
+        unitarity_defect=float(np.max(np.abs(U.conj().T @ U - np.eye(N)))),
+        reconstruction_residual=float(np.max(np.abs(U @ Z - Z * lam))))
 
 
 def narrow_packet(basis, center, width, seed):

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dkrotor
 from dkrotor import cli
 from dkrotor.cli import (ExperimentSpec, SpecError, load_spec, load_sweep,
                          main, run, spec_to_config, sweep, validate)
@@ -200,6 +205,21 @@ def test_run_floquet_outputs(tmp_path):
     assert diag["unitarity_defect"] < 1e-10
     assert diag["basis_size"] == 64
     assert diag["degenerate_clusters"] >= 0
+    assert diag["reconstruction_residual"] < 1e-8
+    assert diag["near_cut_gaps"] >= 0
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the packet calibration minimizes; a CLI run must not pay for
+    # importing scipy.optimize
+    src = str(Path(dkrotor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, dkrotor.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_run_wigner_outputs(tmp_path):

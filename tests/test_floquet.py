@@ -6,7 +6,10 @@ import pytest
 from dkrotor.floquet import (asymptotic_distribution, asymptotic_from_density,
                              asymptotic_matrix, decompose)
 from dkrotor.pulses import TWO_PI, KickConfig
-from dkrotor.quantum import MomentumBasis, build_period_operator, initial_density
+from dkrotor.quantum import (CAYLEY_SHIFTS, MomentumBasis, build_period_operator,
+                             initial_density)
+
+from helpers import schur_decomposition
 
 BASIS = MomentumBasis()
 
@@ -129,3 +132,73 @@ def test_decompose_rejections():
         decompose(op.U)  # plain matrix needs hbar
     with pytest.raises(ValueError):
         decompose(op.U * 1.001, hbar=2.6)  # not unitary
+
+
+@pytest.mark.parametrize("K", [180.0, 280.0])
+def test_decompose_matches_schur_oracle(K):
+    # oracle: complex Schur of the lab-frame U, which needs no symmetry
+    for q in (0.0, 0.3):
+        op = build_period_operator(KickConfig(K=K), MomentumBasis(q=q))
+        dec = decompose(op)
+        ref = schur_decomposition(op.U, BASIS.hbar)
+        np.testing.assert_allclose(np.sort(dec.quasi_energies),
+                                   np.sort(ref.quasi_energies), rtol=0,
+                                   atol=1e-10)
+        assert dec.reconstruction_residual < 1e-12
+        assert dec.unitarity_defect == pytest.approx(ref.unitarity_defect,
+                                                     abs=1e-14)
+        if q == 0.0:
+            assert (len(dec.degenerate_clusters)
+                    == len(ref.degenerate_clusters) > 0)
+            assert dec.near_cut_gaps == ref.near_cut_gaps
+        else:
+            # no near-degenerate pairs: the asymptotic matrix does not
+            # depend on the solver
+            assert not dec.has_degeneracies and dec.near_cut_gaps == 0
+            np.testing.assert_allclose(asymptotic_matrix(dec),
+                                       asymptotic_matrix(ref), rtol=0,
+                                       atol=1e-8)
+
+
+def _symmetric_unitary(phases, seed):
+    """Q diag(exp(i phases)) Q^T with a random real orthogonal Q."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((len(phases), len(phases))))
+    return (Q * np.exp(1j * np.asarray(phases))) @ Q.T
+
+
+def test_decompose_survives_cayley_pole():
+    # the first shift's Cayley map has its pole at the eigenvalue
+    # -exp(-i phi); an eigenvalue placed there makes 1 + V singular, and
+    # the solver must fall back to the next shift
+    N = 40
+    phases = np.linspace(0.1, 6.1, N)
+    phases[7] = np.pi - CAYLEY_SHIFTS[0]
+    U = _symmetric_unitary(phases, seed=3)
+    dec = decompose(U, hbar=1.0)
+    assert dec.reconstruction_residual < 1e-8
+    Z = dec.vectors
+    assert np.max(np.abs(U @ Z - Z * dec.eigenvalues)) < 1e-8
+    np.testing.assert_allclose(np.sort(dec.quasi_energies),
+                               np.sort(np.mod(-phases, TWO_PI)), atol=1e-10)
+
+
+def test_decompose_rejects_non_symmetric_matrix():
+    # the lab-frame U is unitary but not complex symmetric; only the
+    # PeriodOperator carries the frame that makes it so
+    op = build_period_operator(KickConfig(K=90.0), BASIS)
+    with pytest.raises(ValueError, match="complex symmetric"):
+        decompose(op.U, hbar=BASIS.hbar)
+
+
+def test_near_cut_gaps_counts_gaps_within_a_decade_of_the_cut():
+    # gaps of 5e-10 and 2e-11 lie in [1e-11, 1e-9], on either side of
+    # the 1e-10 cut; 1e-12 is far inside it and 1e-7 far outside
+    phases = np.linspace(0.2, 6.0, 12)
+    phases[3] = phases[2] + 5e-10
+    phases[6] = phases[5] + 2e-11
+    phases[9] = phases[8] + 1e-12
+    phases[11] = phases[10] + 1e-7
+    dec = decompose(_symmetric_unitary(phases, seed=4), hbar=1.0)
+    assert dec.near_cut_gaps == 2
+    assert len(dec.degenerate_clusters) == 2

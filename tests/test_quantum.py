@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dkrotor.pulses import KickConfig
-from dkrotor.quantum import (MomentumBasis, build_period_operator,
-                             edge_population, evolve_density,
-                             initial_density, momentum_distribution,
-                             unitarity_defect)
+from dkrotor.quantum import (MomentumBasis, _time_reversal_frame,
+                             build_period_operator, edge_population,
+                             evolve_density, initial_density,
+                             momentum_distribution, unitarity_defect)
 from helpers import narrow_packet, split_operator_period
 
 BASIS = MomentumBasis()
@@ -145,22 +145,39 @@ def _dense_evolution(rho, op, kicks):
     return np.array(dists), rho
 
 
-@pytest.mark.parametrize("start", ["mixed", "pure"])
-def test_evolve_density_matches_dense_loop(start):
+@pytest.mark.parametrize("start,q", [("mixed", 0.0), ("pure", 0.0),
+                                     ("mixed", 0.3)],
+                         ids=["mixed", "pure", "mixed-q0.3"])
+def test_evolve_density_matches_dense_loop(start, q):
     cfg = KickConfig(K=280.0)
-    op = build_period_operator(cfg, BASIS)
-    psi = narrow_packet(BASIS, center=3, width=6.0, seed=5)
+    basis = MomentumBasis(q=q)
+    op = build_period_operator(cfg, basis)
+    psi = narrow_packet(basis, center=3, width=6.0, seed=5)
     packet = np.outer(psi, psi.conj())
-    rho = (0.7 * initial_density(cfg, BASIS) + 0.3 * packet
+    rho = (0.7 * initial_density(cfg, basis) + 0.3 * packet
            if start == "mixed" else packet)
     res = evolve_density(rho, op, 15)
     dists, final = _dense_evolution(rho, op, 15)
-    outside = np.array([momentum_distribution(np.diag(d), BASIS)[1]
+    outside = np.array([momentum_distribution(np.diag(d), basis)[1]
                         for d in dists])
     np.testing.assert_allclose(res.distributions, dists, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.outside_fraction, outside, rtol=0,
                                atol=1e-13)
     np.testing.assert_allclose(res.final_density, final, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("K", [0.0, 280.0])
+@pytest.mark.parametrize("q", [0.0, 0.3, -0.41])
+def test_time_reversal_frame_makes_period_symmetric(K, q):
+    # s^-1 U s = F_tail^(1/2) P F_gap P F_tail^(1/2) with P = P^T: the
+    # real Floquet eigensolve rests on this symmetry
+    op = build_period_operator(KickConfig(K=K), MomentumBasis(q=q))
+    s = _time_reversal_frame(op)
+    Us = s.conj()[:, None] * op.U * s
+    assert np.max(np.abs(Us - Us.T)) < 1e-14
+    # and the lab-frame operator itself is not symmetric once kicked
+    if K > 0.0:
+        assert np.max(np.abs(op.U - op.U.T)) > 1e-3
 
 
 def test_evolve_density_rejects_non_density_matrix():
