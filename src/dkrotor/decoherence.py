@@ -16,7 +16,8 @@ Two realizations are provided:
   at a time uniform over the on-pulse windows, and the recoil splits
   into an integer ladder shift plus a quasi-momentum change; coherent
   segments between emissions use exactly-exponentiated operators cached
-  on a quantized q grid.
+  on a quantized q grid.  All trajectories advance together as the
+  columns of one state matrix, with one product per occupied q a kick.
 
 The anti-Zeno model is a per-cycle projective momentum measurement:
 off-diagonals of rho are zeroed after each coherent cycle, which
@@ -38,8 +39,9 @@ from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000
 DEFAULT_Q_GRID = 64
-# realizations per (N x MC_BLOCK) state matrix; bounds the working set
-MC_BLOCK = 256
+# realizations per (N x MC_BLOCK) state matrix: 2048 holds the CLI
+# default in one block, and the cap bounds the working set
+MC_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,31 @@ class EmissionModel:
 
 
 def spontaneous_emission_map(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Discretized-recoil emission map; trace-preserving, periodic wrap."""
+    """Discretized-recoil emission map; trace-preserving, periodic wrap.
+
+    rho is left unchanged.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    up = np.roll(rho, (-1, -1), axis=(0, 1))
-    down = np.roll(rho, (1, 1), axis=(0, 1))
-    return 0.5 * eta * (up + down) + (1.0 - eta) * rho
+    return _emission_map_into(rho.copy(), eta)
+
+
+def _emission_map_into(rho: np.ndarray, eta: float) -> np.ndarray:
+    """spontaneous_emission_map written over rho, which it returns."""
+    # rho[m+1, n+1] + rho[m-1, n-1], wrapped, in eight slice operations
+    shifted = np.empty_like(rho)
+    shifted[:-1, :-1] = rho[1:, 1:]
+    shifted[:-1, -1] = rho[1:, 0]
+    shifted[-1, :-1] = rho[0, 1:]
+    shifted[-1, -1] = rho[0, 0]
+    shifted[1:, 1:] += rho[:-1, :-1]
+    shifted[1:, 0] += rho[:-1, -1]
+    shifted[0, 1:] += rho[-1, :-1]
+    shifted[0, 0] += rho[-1, -1]
+    shifted *= 0.5 * eta
+    rho *= 1.0 - eta
+    rho += shifted
+    return rho
 
 
 def anti_zeno_map(rho: np.ndarray) -> np.ndarray:
@@ -128,7 +149,7 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
     U_dag = U.conj().T
     rho = rho0
     for t in range(1, kicks + 1):
-        rho = spontaneous_emission_map(U @ rho @ U_dag, model.eta)
+        rho = _emission_map_into(U @ rho @ U_dag, model.eta)
         dists[t], outside[t] = momentum_distribution(rho, basis)
     return EvolutionResult(distributions=dists, outside_fraction=outside,
                            final_density=rho)
@@ -183,38 +204,47 @@ def _wrap_q(q_total):
     return np.round(q_total - q_new).astype(int), q_new
 
 
-def _emission_cycle(psi, op, op_after, x, shift):
-    """One kick cycle with an emission at on-pulse time x in [0, alpha):
-    op before it, then a ladder shift, then op_after of the new q."""
-    cfg = op.config
-    half = cfg.alpha / 2.0
-    if x < half:
-        psi = np.roll(op.apply_pulse(psi, x), shift)
-        psi = op_after.apply_pulse(psi, half - x)
-        psi = op_after.free_phases(cfg.delta - half) * psi
-        psi = op_after.apply_pulse(psi, half)
-    else:
-        psi = op.apply_pulse(psi, half)
-        psi = op.free_phases(cfg.delta - half) * psi
-        psi = np.roll(op.apply_pulse(psi, x - half), shift)
-        psi = op_after.apply_pulse(psi, half - (x - half))
-    return op_after.free_phases(1.0 - cfg.delta - half) * psi
+def _q_groups(q, cache):
+    """(operator, positions) for each distinct snapped value in q."""
+    values, inverse = np.unique(q, return_inverse=True)
+    for k, value in enumerate(values):
+        yield cache.operator(value), np.flatnonzero(inverse == k)
 
 
 def _continuous_kick(Psi, q, q_after, emit, x, shift, cache):
-    """One kick of each column of Psi, in place, from snapped q to q_after;
-    columns without emission take one U product per run of equal q."""
-    stay = np.flatnonzero(~emit)[np.argsort(q[~emit], kind="stable")]
-    Y, qs = Psi[:, stay], q[stay]
-    starts = np.flatnonzero(np.diff(qs, prepend=np.nan))
-    for a, b in zip(starts, [*starts[1:], qs.size]):
-        # np.dot hands a one-column strided slice to BLAS; matmul does not
-        Y[:, a:b] = np.dot(cache.operator(qs[a]).U, Y[:, a:b])
-    Psi[:, stay] = Y
-    for j in np.flatnonzero(emit):
-        Psi[:, j] = _emission_cycle(Psi[:, j], cache.operator(q[j]),
-                                    cache.operator(q_after[j]), x[j],
-                                    shift[j])
+    """One kick of each column of Psi, in place, from snapped q to q_after.
+
+    With U = F_tail P(alpha/2) F_gap P(alpha/2) and P(s) P(t) = P(s + t),
+    a cycle with an emission at on-pulse time x and ladder shift S is
+        x < alpha/2:   U' P'(-w) S P(w),                  w = x
+        x >= alpha/2:  F_tail' P'(-w) S P(w) F_tail^-1 U,  w = x - alpha
+    where primes mark the operators of q_after.  Grouped by q, columns
+    without emission and late emissions take U, and every emitting
+    column then takes P(w) with its own w; one gather applies all the
+    shifts; grouped by q_after, the emitting columns take the rest.
+    """
+    cfg = cache.cfg
+    tail = 1.0 - cfg.delta - cfg.alpha / 2.0
+    late = emit & (x >= cfg.alpha / 2.0)
+    first = np.flatnonzero(~emit | late)
+    for op, g in _q_groups(q[first], cache):
+        Psi[:, first[g]] = np.dot(op.U, Psi[:, first[g]])
+    cols = np.flatnonzero(emit)
+    late = late[cols]
+    w = np.where(late, x[cols] - cfg.alpha, x[cols])
+    E = Psi[:, cols]
+    for op, g in _q_groups(q[cols], cache):
+        E[:, g[late[g]]] *= op.free_phases(-tail)[:, None]
+        E[:, g] = op.apply_pulse(E[:, g], w[g])
+    # column j rolled by shift[j], as np.roll
+    rows = np.arange(E.shape[0])[:, None] - shift[cols]
+    E = E[rows % E.shape[0], np.arange(cols.size)]
+    for op, g in _q_groups(q_after[cols], cache):
+        Y = op.apply_pulse(E[:, g], -w[g])
+        Y[:, late[g]] *= op.free_phases(tail)[:, None]
+        Y[:, ~late[g]] = np.dot(op.U, Y[:, ~late[g]])
+        E[:, g] = Y
+    Psi[:, cols] = E
 
 
 def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
@@ -242,9 +272,11 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     uniform that triggers an emission when below eta.  An emission then
     draws, for discretized recoil, one uniform (below 1/2 shifts up one
     rung), and for continuous recoil the emission time in [0, alpha)
-    followed by u.  No draw depends on the state, so all come first;
-    realizations then advance MC_BLOCK at a time as the columns of one
-    state matrix.  workers is kept for callers and has no effect.
+    followed by u.  No draw depends on the state, so all come first and
+    a per-realization cursor reads each kick's events from them.  Up to
+    MC_BLOCK realizations advance together as the columns of one state
+    matrix (see _continuous_kick).  workers is kept for callers and has
+    no effect.
     """
     if not isinstance(model, EmissionModel):
         raise TypeError(f"model must be an EmissionModel, got {model!r}")
@@ -263,8 +295,10 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     weights = np.real(np.diag(initial_density(cfg, basis)))
     # the sub-ladder offset q is below the grid resolution; score the
     # barrier crossing on ladder sites so the curve is comparable with
-    # the density-matrix pipeline
-    outside = np.abs(basis.indices * basis.hbar) > OUTSIDE_BOUNDARY
+    # the density-matrix pipeline.  The outside rows are the two ends.
+    inside = np.flatnonzero(np.abs(basis.indices * basis.hbar)
+                            <= OUTSIDE_BOUNDARY)
+    lo, hi = inside[0], inside[-1] + 1
 
     sum_dist = np.zeros((kicks + 1, basis.size))
     sum_out = np.zeros(kicks + 1)
@@ -278,41 +312,35 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
             rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
             n0[j] = rng.choice(basis.size, p=weights)
             pool[j] = rng.random(3 * kicks)
-        # kick t's trigger is draw at[t]; an emission takes 1 or 2 more
-        at = np.empty((kicks, cols.size), dtype=int)
+        # next draw of each column: the trigger, and 1 or 2 more if it emits
         pos = np.zeros(cols.size, dtype=int)
-        for t in range(kicks):
-            at[t] = pos
-            pos += 1 + (pool[cols, pos] < model.eta) * (1 + continuous)
-        emit = pool[cols, at] < model.eta
-        x = pool[cols, at + 1]
-        if continuous:
-            # scaled as Generator.uniform(0, alpha) and (-1, 1) scale them
-            x *= cfg.alpha
-            u = -1.0 + 2.0 * pool[cols, at + 2]
-            shift = np.empty((kicks, cols.size), dtype=int)
-            q = np.full((kicks + 1, cols.size), basis.q)
-            for t in range(kicks):
-                shift[t], q_new = _wrap_q(cache.snap(q[t]) + u[t])
-                q[t + 1] = np.where(emit[t], cache.snap(q_new), q[t])
-            # built before the propagation's temporaries: less fragmentation
-            for value in np.unique(q):
-                cache.operator(value)
+        q = np.full(cols.size, basis.q)
         Psi = np.zeros((basis.size, cols.size), dtype=complex)
         Psi[n0, cols] = 1.0
         for t in range(kicks + 1):
+            if t:
+                emit = pool[cols, pos] < model.eta
+                x, u = pool[cols, pos + 1], pool[cols, pos + 2]
+                pos += 1 + emit * (1 + continuous)
             if t and continuous:
-                _continuous_kick(Psi, q[t - 1], q[t], emit[t - 1],
-                                 x[t - 1], shift[t - 1], cache)
+                # scaled as Generator.uniform(0, alpha) and (-1, 1) scale them
+                shift, q_new = _wrap_q(cache.snap(q) + (-1.0 + 2.0 * u))
+                q_after = np.where(emit, cache.snap(q_new), q)
+                _continuous_kick(Psi, q, q_after, emit, x * cfg.alpha,
+                                 shift, cache)
+                q = q_after
             elif t:
                 Psi = U @ Psi
                 # same periodic wrap as spontaneous_emission_map
-                for step, sel in ((1, emit[t - 1] & (x[t - 1] < 0.5)),
-                                  (-1, emit[t - 1] & (x[t - 1] >= 0.5))):
+                for step, sel in ((1, emit & (x < 0.5)),
+                                  (-1, emit & (x >= 0.5))):
                     Psi[:, sel] = np.roll(Psi[:, sel], step, axis=0)
-            prob = np.abs(Psi)**2
-            out = prob[outside].sum(axis=0)
-            sum_dist[t] += prob.sum(axis=1)
+            # |Psi|^2 summed from the interleaved real and imaginary parts
+            re_im = Psi.view(np.float64)
+            sum_dist[t] += np.einsum("ij,ij->i", re_im, re_im)
+            out = (np.einsum("ij,ij->j", re_im[:lo], re_im[:lo])
+                   + np.einsum("ij,ij->j", re_im[hi:], re_im[hi:]))
+            out = out.reshape(-1, 2).sum(axis=1)
             sum_out[t] += out.sum()
             sum_out2[t] += (out**2).sum()
 

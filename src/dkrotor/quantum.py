@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .pulses import OUTSIDE_BOUNDARY, KickConfig
 
@@ -101,9 +100,12 @@ class PeriodOperator:
         phases = np.exp(-1j * lam * w / self.basis.hbar)
         return (V * phases) @ V.T
 
-    def apply_pulse(self, psi: np.ndarray, w: float) -> np.ndarray:
-        """P(w) applied to a state vector via the eigenbasis."""
+    def apply_pulse(self, psi: np.ndarray,
+                    w: float | np.ndarray) -> np.ndarray:
+        """P(w) applied to a state vector, or to the columns of a matrix,
+        via the eigenbasis; w is one time, or one per column."""
         V, lam = self.pulse_vectors, self.pulse_energies
+        lam = lam.reshape((-1,) + (1,) * (np.ndim(psi) - 1))
         return _real_matmul(V, np.exp(-1j * lam * w / self.basis.hbar)
                             * _real_matmul(V.T, psi))
 
@@ -112,7 +114,8 @@ def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A @ X for real A and complex X, on the interleaved real view of X,
     so A is never cast to complex."""
     X = np.ascontiguousarray(X, dtype=complex)
-    Y = np.dot(A, X.view(np.float64).reshape(X.shape[0], -1))
+    # the width is explicit because -1 cannot be inferred for no columns
+    Y = np.dot(A, X.view(np.float64).reshape(X.shape[0], 2 * X[0].size))
     return Y.view(complex).reshape(X.shape)
 
 
@@ -190,6 +193,9 @@ def initial_density(cfg: KickConfig, basis: MomentumBasis) -> np.ndarray:
 
 def build_period_operator(cfg: KickConfig, basis: MomentumBasis) -> PeriodOperator:
     """Assemble U for one kick cycle; unitary to ~1e-14 by construction."""
+    # imported here: scipy.linalg is most of `import dkrotor`'s time
+    from scipy.linalg import eigh_tridiagonal
+
     nq = basis.indices + basis.q
     diag = 0.5 * (nq * basis.hbar)**2
     off = np.full(basis.size - 1, -0.5 * cfg.K)

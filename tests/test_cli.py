@@ -209,17 +209,27 @@ def test_run_floquet_outputs(tmp_path):
     assert diag["near_cut_gaps"] >= 0
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # only the packet calibration minimizes; a CLI run must not pay for
-    # importing scipy.optimize
+def _loaded_by_cli_import(module):
+    """Whether a fresh `import dkrotor.cli` puts module in sys.modules."""
     src = str(Path(dkrotor.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, dkrotor.cli; "
-            "print('scipy.optimize' in sys.modules)")
+    code = f"import sys, dkrotor.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the packet calibration minimizes; a CLI run must not pay for
+    # importing scipy.optimize
+    assert not _loaded_by_cli_import("scipy.optimize")
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # only the pulse eigensolve needs scipy.linalg; a classical run must
+    # not pay for importing it
+    assert not _loaded_by_cli_import("scipy.linalg")
 
 
 def test_run_wigner_outputs(tmp_path):

@@ -65,6 +65,17 @@ def test_emission_map_preserves_density_properties():
     assert np.linalg.eigvalsh(out).min() > -1e-12
 
 
+def test_emission_map_matches_roll_formula_bitwise():
+    rho = _random_density(48, 9)
+    before = rho.copy()
+    for eta in (0.0, 0.02, 0.05, 0.3, 1.0):
+        up = np.roll(rho, (-1, -1), axis=(0, 1))
+        down = np.roll(rho, (1, 1), axis=(0, 1))
+        want = 0.5 * eta * (up + down) + (1.0 - eta) * rho
+        assert np.array_equal(spontaneous_emission_map(rho, eta), want)
+    assert np.array_equal(rho, before)
+
+
 def test_emission_map_validates_eta():
     rho = _random_density(8, 2)
     with pytest.raises(ValueError):
@@ -265,13 +276,18 @@ def test_mc_discretized_unravels_emission_map():
                                   runs[1].distributions)
 
 
-@pytest.mark.parametrize("mode", ["discretized", "continuous"])
-def test_mc_blocks_match_per_realization_reference(monkeypatch, mode):
+@pytest.mark.parametrize("mode, eta", [
+    pytest.param(mode, eta, id=mode if eta == 0.3 else f"{mode}-eta{eta:g}")
+    for mode in ("discretized", "continuous") for eta in (0.0, 0.3, 1.0)])
+def test_mc_blocks_match_per_realization_reference(monkeypatch, mode, eta):
     # eta = 0.3 over 6 kicks gives emissions, q changes (continuous) and,
-    # with blocks of 16, four blocks of 60 realizations, the last partial
+    # with blocks of 16, four blocks of 60 realizations, the last partial.
+    # At eta = 0 no column emits; at eta = 1 every column emits every
+    # kick, so q groups hold many columns, emissions fall in both halves
+    # of the pulse, and shifts wrap
     monkeypatch.setattr(decoherence, "MC_BLOCK", 16)
     cfg = KickConfig(K=280.0)
-    model = EmissionModel(eta=0.3, recoil_mode=mode)
+    model = EmissionModel(eta=eta, recoil_mode=mode)
     mc = mc_wavefunction_run(cfg, BASIS, model, kicks=6, seed=7,
                              realizations=60)
     dists, outside, stderr = mc_reference(cfg, BASIS, model, kicks=6,
