@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, product
 from pathlib import Path
 
@@ -36,12 +36,12 @@ from .diffusion import fit_flux
 from .floquet import asymptotic_matrix, decompose
 from .pulses import KickConfig
 from .quantum import (MomentumBasis, build_period_operator, edge_population,
-                      evolve_density, initial_density, unitarity_defect)
+                      initial_density, unitarity_defect)
 from .wigner import strangeness, wigner_transform
 
 MODES = ("classical", "quantum", "floquet", "wigner", "mc-wavefunction",
          "compare")
-DECOHERENCE_CHOICES = ("none", "emission", "anti-zeno")
+DECOHERENCE_CHOICES = ("none", "emission", ANTI_ZENO)
 MATRIX_LOG_FLOOR = 1e-30
 
 
@@ -60,14 +60,20 @@ class SpecError(ValueError):
 
 @dataclass
 class ExperimentSpec:
-    """Everything one run needs; deterministic given (spec, seed)."""
+    """Everything one run needs; deterministic given (spec, seed).
 
-    mode: str = "classical"
+    A field that KickConfig also has belongs to the [system] section of
+    a config, every other one to [run].  Each field's default fixes its
+    type, and the field order is the order of a serialized config and
+    of a sweep's product and run names.
+    """
+
     K: float = 280.0
     alpha: float = 0.1
     delta: float = 0.1
     hbar: float = 2.6
     sigma_p: float = 3.6 * np.pi
+    mode: str = "classical"
     kicks: int = 70
     ensemble: int = 100_000
     realizations: int = 2000
@@ -93,31 +99,14 @@ class RunManifest:
     seeds: list
     files: dict
 
-    def to_dict(self) -> dict:
-        return {"spec": self.spec, "version": self.version,
-                "wall_time": self.wall_time, "seeds": self.seeds,
-                "files": self.files}
+
+_TYPES = {f.name: type(f.default) for f in fields(ExperimentSpec)}
+_SYSTEM = {f.name for f in fields(KickConfig)}
+_SECTION = {key: "system" if key in _SYSTEM else "run" for key in _TYPES}
 
 
-# (section, key, type); also the canonical serialization order
-CONFIG_FIELDS = (
-    ("system", "K", float),
-    ("system", "alpha", float),
-    ("system", "delta", float),
-    ("system", "hbar", float),
-    ("system", "sigma_p", float),
-    ("run", "mode", str),
-    ("run", "kicks", int),
-    ("run", "ensemble", int),
-    ("run", "realizations", int),
-    ("run", "eta", float),
-    ("run", "decoherence", str),
-    ("run", "seed", int),
-    ("run", "basis_size", int),
-    ("run", "out", str),
-)
-_FIELD_TYPES = {key: typ for _, key, typ in CONFIG_FIELDS}
-_FIELD_SECTION = {key: section for section, key, _ in CONFIG_FIELDS}
+def _field(key: str) -> str:
+    return f"{_SECTION[key]}.{key}"
 
 
 def _fmt(x) -> str:
@@ -134,14 +123,14 @@ def _fmt(x) -> str:
 
 
 def _coerce(key: str, text: str):
-    typ = _FIELD_TYPES[key]
+    typ = _TYPES[key]
     if typ is str:
         return text
     try:
         return typ(text)
     except ValueError:
         kind = "an integer" if typ is int else "a number"
-        raise SpecError(f"{_FIELD_SECTION[key]}.{key}",
+        raise SpecError(_field(key),
                         f"expected {kind}, got {text!r}") from None
 
 
@@ -160,7 +149,7 @@ def _read_raw(path) -> dict:
         if section not in ("system", "run"):
             raise SpecError(section, "unknown section")
         for key, value in parser.items(section):
-            if _FIELD_SECTION.get(key) != section:
+            if _SECTION.get(key) != section:
                 raise SpecError(f"{section}.{key}", "unknown key")
             raw[key] = value.strip()
     return raw
@@ -175,7 +164,7 @@ def load_spec(path) -> ExperimentSpec:
     raw = _read_raw(path)
     for key, value in raw.items():
         if "," in value:
-            raise SpecError(f"{_FIELD_SECTION[key]}.{key}",
+            raise SpecError(_field(key),
                             "list values are only valid in sweep configs")
     return spec_from_values(raw)
 
@@ -184,17 +173,20 @@ def load_sweep(path) -> list:
     """Expand comma-separated values into named (name, spec) pairs."""
     raw = _read_raw(path)
     lists = {}
-    for key, value in raw.items():
-        tokens = [tok.strip() for tok in value.split(",")]
+    for key in _TYPES:
+        if key not in raw:
+            continue
+        tokens = [tok.strip() for tok in raw[key].split(",")]
         if any(not tok for tok in tokens):
-            raise SpecError(f"{_FIELD_SECTION[key]}.{key}",
-                            "empty list entry")
+            raise SpecError(_field(key), "empty list entry")
+        # a repeated value would give two runs one name and directory
+        if len({_coerce(key, tok) for tok in tokens}) < len(tokens):
+            raise SpecError(_field(key), "repeated list entry")
         lists[key] = tokens
-    order = [key for _, key, _ in CONFIG_FIELDS if key in lists]
-    varied = [key for key in order if len(lists[key]) > 1]
+    varied = [key for key, tokens in lists.items() if len(tokens) > 1]
     pairs = []
-    for combo in product(*(lists[key] for key in order)):
-        values = dict(zip(order, combo))
+    for combo in product(*lists.values()):
+        values = dict(zip(lists, combo))
         name = "_".join(f"{key}={values[key]}" for key in varied) or "run"
         pairs.append((name, spec_from_values(values)))
     return pairs
@@ -205,44 +197,41 @@ def spec_to_config(spec: ExperimentSpec) -> str:
     lines = []
     for section in ("system", "run"):
         lines.append(f"[{section}]")
-        for sec, key, _ in CONFIG_FIELDS:
-            if sec == section:
-                lines.append(f"{key} = {_fmt(getattr(spec, key))}")
+        lines += [f"{key} = {_fmt(value)}"
+                  for key, value in asdict(spec).items()
+                  if _SECTION[key] == section]
         lines.append("")
     return "\n".join(lines)
 
 
 def validate(spec: ExperimentSpec) -> None:
-    """Raise SpecError naming the first offending field."""
+    """Raise SpecError naming the first offending field.
+
+    The drive, ladder and emission parameters are checked by building
+    the library objects; each of their messages begins with the
+    parameter it rejects.
+    """
     if spec.mode not in MODES:
         raise SpecError("run.mode", f"must be one of {', '.join(MODES)}")
-    if spec.K < 0:
-        raise SpecError("system.K", "must be >= 0")
-    if spec.alpha <= 0:
-        raise SpecError("system.alpha", "must be > 0")
-    if spec.delta < spec.alpha / 2:
-        raise SpecError("system.delta", "must be >= alpha/2")
-    if spec.delta + spec.alpha / 2 > 1:
-        raise SpecError("system.delta", "delta + alpha/2 must be <= 1")
-    if spec.hbar <= 0:
-        raise SpecError("system.hbar", "must be > 0")
-    if spec.sigma_p <= 0:
-        raise SpecError("system.sigma_p", "must be > 0")
+    for build in (spec.kick_config, spec.basis,
+                  lambda: EmissionModel(eta=spec.eta)):
+        try:
+            build()
+        except ValueError as exc:
+            name = str(exc).split()[0]
+            raise SpecError(_field("basis_size" if name == "size" else name),
+                            str(exc)) from None
     if spec.kicks < 1:
         raise SpecError("run.kicks", "must be >= 1")
     if spec.ensemble < 1:
         raise SpecError("run.ensemble", "must be >= 1")
     if spec.realizations < 2:
         raise SpecError("run.realizations", "must be >= 2")
-    if not 0.0 <= spec.eta <= 1.0:
-        raise SpecError("run.eta", "must be in [0, 1]")
     if spec.decoherence not in DECOHERENCE_CHOICES:
         raise SpecError("run.decoherence",
                         f"must be one of {', '.join(DECOHERENCE_CHOICES)}")
     if spec.seed < 0:
         raise SpecError("run.seed", "must be >= 0")
-    if spec.basis_size < 2 or spec.basis_size % 2:
-        raise SpecError("run.basis_size", "must be an even integer >= 2")
 
 
 def _json_safe(value):
@@ -255,6 +244,10 @@ def _json_safe(value):
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return _json_safe(value.item())
     return value
+
+
+def _dumps(payload) -> str:
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True)
 
 
 def _column_format(value) -> str:
@@ -297,8 +290,7 @@ def _table_rows(table, *labels):
 
 
 def _write_json(path: Path, payload: dict, written: list) -> None:
-    path.write_text(json.dumps(_json_safe(payload), indent=2,
-                               sort_keys=True) + "\n")
+    path.write_text(_dumps(payload) + "\n")
     written.append(path)
 
 
@@ -333,17 +325,15 @@ def _run_classical(spec, out, written):
     return [spec.seed]
 
 
-def _evolved_density(spec, op, rho0):
-    if spec.decoherence == "none":
-        return evolve_density(rho0, op, spec.kicks)
+def _channel(spec):
+    """The run_decohered model for spec.decoherence."""
     if spec.decoherence == "emission":
-        return run_decohered(rho0, op, EmissionModel(eta=spec.eta), spec.kicks)
-    return run_decohered(rho0, op, ANTI_ZENO, spec.kicks)
+        return EmissionModel(eta=spec.eta)
+    return ANTI_ZENO if spec.decoherence == ANTI_ZENO else None
 
 
 def _write_distributions(path, basis, dists, kicks, written):
-    header = ["n", "p"] + [f"kick_{t}" for t in range(kicks + 1)]
-    _write_csv(path, header,
+    _write_csv(path, ["n"] + _kick_header("p", kicks),
                _table_rows(dists.T, basis.indices, basis.momenta), written)
 
 
@@ -351,7 +341,8 @@ def _run_quantum(spec, out, written):
     cfg = spec.kick_config()
     basis = spec.basis()
     op = build_period_operator(cfg, basis)
-    result = _evolved_density(spec, op, initial_density(cfg, basis))
+    result = run_decohered(initial_density(cfg, basis), op, _channel(spec),
+                           spec.kicks)
     _write_distributions(out / "momentum_distribution.csv", basis,
                          result.distributions, spec.kicks, written)
     _write_outside(out / "outside_fraction.csv", result.outside_fraction,
@@ -395,7 +386,8 @@ def _run_wigner(spec, out, written):
     cfg = spec.kick_config()
     basis = spec.basis()
     op = build_period_operator(cfg, basis)
-    result = _evolved_density(spec, op, initial_density(cfg, basis))
+    result = run_decohered(initial_density(cfg, basis), op, _channel(spec),
+                           spec.kicks)
     grid = wigner_transform(result.final_density, basis)
     header = ["P\\X"] + [_fmt(x) for x in grid.coarse_positions]
     _write_csv(out / "wigner_coarse.csv", header,
@@ -429,16 +421,11 @@ def _run_compare(spec, out, written):
     classical = propagate_ensemble(ensemble, cfg, spec.kicks).outside_fraction
     op = build_period_operator(cfg, basis)
     rho0 = initial_density(cfg, basis)
-    curves = [
-        ("classical", classical),
-        ("coherent", evolve_density(rho0, op, spec.kicks).outside_fraction),
-        ("eta_002", run_decohered(rho0, op, EmissionModel(eta=0.02),
-                                  spec.kicks).outside_fraction),
-        ("eta_005", run_decohered(rho0, op, EmissionModel(eta=0.05),
-                                  spec.kicks).outside_fraction),
-        ("anti_zeno", run_decohered(rho0, op, ANTI_ZENO,
-                                    spec.kicks).outside_fraction),
-    ]
+    channels = (("coherent", None), ("eta_002", EmissionModel(eta=0.02)),
+                ("eta_005", EmissionModel(eta=0.05)), ("anti_zeno", ANTI_ZENO))
+    curves = [("classical", classical)] + [
+        (name, run_decohered(rho0, op, model, spec.kicks).outside_fraction)
+        for name, model in channels]
     header = ["kick"] + [name for name, _ in curves]
     table = np.column_stack([curve for _, curve in curves])
     _write_csv(out / "comparison.csv", header,
@@ -475,14 +462,12 @@ def run(spec: ExperimentSpec) -> RunManifest:
         raise
     from . import __version__
     manifest = RunManifest(
-        spec={key: getattr(spec, key) for _, key, _ in CONFIG_FIELDS},
+        spec=asdict(spec),
         version=__version__,
         wall_time=time.perf_counter() - start,
         seeds=seeds,
         files={path.name: _sha256(path) for path in sorted(written)})
-    (out / "manifest.json").write_text(
-        json.dumps(_json_safe(manifest.to_dict()), indent=2, sort_keys=True)
-        + "\n")
+    (out / "manifest.json").write_text(_dumps(asdict(manifest)) + "\n")
     return manifest
 
 
@@ -519,8 +504,7 @@ def sweep(pairs, root, workers: int = 1) -> list:
                         "error": err}
                        for name, _, err in results],
               "failed": sum(1 for _, _, err in results if err is not None)}
-    (root / "sweep_report.json").write_text(
-        json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n")
+    (root / "sweep_report.json").write_text(_dumps(report) + "\n")
     return results
 
 
@@ -578,44 +562,32 @@ def main(argv=None) -> int:
 
     try:
         if args.verb == "run":
-            spec = _apply_overrides(load_spec(args.config), args)
-            manifest = run(spec)
-            print(json.dumps(_json_safe(manifest.to_dict()), indent=2,
-                             sort_keys=True))
+            manifest = run(_apply_overrides(load_spec(args.config), args))
+            print(_dumps(asdict(manifest)))
             return 0
-        if args.verb == "sweep":
-            pairs = load_sweep(args.config)
-            if args.seed is not None:
-                pairs = [(name, replace(spec, seed=args.seed))
-                         for name, spec in pairs]
-            for _, spec in pairs:
-                validate(spec)
-            root = args.out if args.out is not None else "sweep"
-            results = sweep(pairs, root, workers=args.workers)
-            failed = [name for name, _, err in results if err is not None]
-            print(json.dumps({"runs": len(results), "failed": failed},
-                             indent=2, sort_keys=True))
-            return 1 if failed else 0
         pairs = load_sweep(args.config)
+        if args.seed is not None:
+            pairs = [(name, replace(spec, seed=args.seed))
+                     for name, spec in pairs]
         for _, spec in pairs:
             validate(spec)
-        specs = [{**{key: getattr(spec, key) for _, key, _ in CONFIG_FIELDS},
-                  "name": name} for name, spec in pairs]
-        print(json.dumps(_json_safe({"valid": True, "specs": specs}),
-                         indent=2, sort_keys=True))
-        return 0
+        if args.verb == "validate":
+            print(_dumps({"valid": True, "specs": [
+                {**asdict(spec), "name": name} for name, spec in pairs]}))
+            return 0
+        root = args.out if args.out is not None else "sweep"
+        results = sweep(pairs, root, workers=args.workers)
+        failed = [name for name, _, err in results if err is not None]
+        print(_dumps({"runs": len(results), "failed": failed}))
+        return 1 if failed else 0
     except SpecError as exc:
-        print(json.dumps(exc.report(), indent=2, sort_keys=True),
-              file=sys.stderr)
-        return 2
+        error, code = exc.report(), 2
     except ValueError as exc:
-        print(json.dumps({"error": "invalid-value", "message": str(exc)},
-                         indent=2, sort_keys=True), file=sys.stderr)
-        return 2
+        error, code = {"error": "invalid-value", "message": str(exc)}, 2
     except Exception as exc:
-        print(json.dumps({"error": "runtime", "message": str(exc)},
-                         indent=2, sort_keys=True), file=sys.stderr)
-        return 1
+        error, code = {"error": "runtime", "message": str(exc)}, 1
+    print(_dumps(error), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

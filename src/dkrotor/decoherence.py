@@ -292,7 +292,10 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
                               q=cache.snap(basis.q))
     else:
         U = build_period_operator(cfg, basis).U
-    weights = np.real(np.diag(initial_density(cfg, basis)))
+    # the start-state draw of Generator.choice(size, p=weights), with the
+    # check and cumulative sum of the weights made once for all draws
+    cdf = np.real(np.diag(initial_density(cfg, basis))).cumsum()
+    cdf /= cdf[-1]
     # the sub-ladder offset q is below the grid resolution; score the
     # barrier crossing on ladder sites so the curve is comparable with
     # the density-matrix pipeline.  The outside rows are the two ends.
@@ -310,7 +313,7 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
         pool = np.empty((cols.size, 3 * kicks))
         for j, i in enumerate(indices):
             rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-            n0[j] = rng.choice(basis.size, p=weights)
+            n0[j] = cdf.searchsorted(rng.random(), side="right")
             pool[j] = rng.random(3 * kicks)
         # next draw of each column: the trigger, and 1 or 2 more if it emits
         pos = np.zeros(cols.size, dtype=int)

@@ -132,28 +132,7 @@ def decompose(U, hbar: float | None = None) -> FloquetDecomposition:
         unitarity_defect=defect, reconstruction_residual=residual)
 
 
-def asymptotic_distribution(dec: FloquetDecomposition, n0: int) -> np.ndarray:
-    """Long-time-averaged probability over n for a start in ladder state n0.
-
-    n0 indexes rows of the operator (array index, not the signed
-    momentum quantum number).
-    """
-    A = np.abs(dec.vectors)**2
-    if not 0 <= n0 < A.shape[0]:
-        raise ValueError(f"n0 must index the basis, got {n0}")
-    return A @ A[n0]
-
-
 def asymptotic_matrix(dec: FloquetDecomposition) -> np.ndarray:
     """All-to-all asymptotic mixing matrix; symmetric, doubly stochastic."""
     A = np.abs(dec.vectors)**2
     return A @ A.T
-
-
-def asymptotic_from_density(dec: FloquetDecomposition,
-                            rho0: np.ndarray) -> np.ndarray:
-    """Asymptotic distribution for a mixed initial state rho0."""
-    weights = np.real(np.einsum("ij,ik,kj->j", dec.vectors.conj(), rho0,
-                                dec.vectors))
-    A = np.abs(dec.vectors)**2
-    return A @ weights

@@ -65,25 +65,6 @@ class KickConfig:
         return self.delta / 2.0 + self.alpha / 4.0
 
 
-@dataclass(frozen=True)
-class PulseProfile:
-    """On-windows of the drive within one period, derived from the config."""
-
-    config: KickConfig
-
-    @property
-    def windows(self):
-        a, d = self.config.alpha, self.config.delta
-        return ((0.0, a / 2.0), (d, d + a / 2.0))
-
-    @property
-    def on_time(self) -> float:
-        return self.config.alpha
-
-    def value(self, t):
-        return pulse_value(self.config, t)
-
-
 def _sinc(x):
     """sin(x)/x with a series branch near zero."""
     x = np.asarray(x, dtype=float)
@@ -103,34 +84,3 @@ def fourier_coefficient(cfg: KickConfig, m) -> float:
     a, d = cfg.alpha, cfg.delta
     out = a * _sinc(m * np.pi * a / 2.0) * np.cos(m * np.pi * d)
     return out if out.ndim else float(out)
-
-
-def pulse_value(cfg: KickConfig, t):
-    """Drive value (0 or 1) at time t; t is reduced mod the unit period.
-
-    Windows are half-open [start, end), a measure-zero convention fixed
-    for reproducibility.
-    """
-    t = np.mod(np.asarray(t, dtype=float), 1.0)
-    a, d = cfg.alpha, cfg.delta
-    on = (t < a / 2.0) | ((t >= d) & (t < d + a / 2.0))
-    out = on.astype(float)
-    return out if out.ndim else float(out)
-
-
-def reconstruct_profile(cfg: KickConfig, t, m_max: int):
-    """Partial Fourier sum of the drive through harmonics |m| <= m_max.
-
-    Converges to pulse_value away from the jump points (and to 1/2 at
-    them, as any Fourier series does).
-    """
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
-    t = np.asarray(t, dtype=float)
-    tau = t - cfg.center
-    m = np.arange(1, m_max + 1)
-    coeffs = fourier_coefficient(cfg, m)
-    out = (fourier_coefficient(cfg, 0)
-           + 2.0 * np.sum(coeffs * np.cos(TWO_PI * np.outer(tau, m)), axis=-1))
-    # np.outer flattens, so scalar t arrives here as a 1-element row
-    return out.reshape(t.shape) if t.ndim else float(out[0])

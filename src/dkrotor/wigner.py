@@ -49,8 +49,6 @@ class WignerGrid:
 
     raw: np.ndarray
     coarse: np.ndarray
-    positions: np.ndarray
-    raw_momenta: np.ndarray
     coarse_positions: np.ndarray
     coarse_momenta: np.ndarray
     norm_constant: float
@@ -97,8 +95,6 @@ def wigner_transform(rho: np.ndarray, basis: MomentumBasis) -> WignerGrid:
     return WignerGrid(
         raw=raw,
         coarse=coarse,
-        positions=np.pi * np.arange(2 * N) / N,
-        raw_momenta=0.5 * basis.hbar * np.arange(2 * N),
         coarse_positions=2.0 * np.pi * np.arange(N) / N,
         coarse_momenta=basis.momenta.astype(float),
         norm_constant=norm)

@@ -1,7 +1,9 @@
 """Independent oracles for the test suite.
 
-The first three routes deliberately avoid the machinery used by the
-package: the classical cycle is integrated with an adaptive Runge-Kutta
+The drive helpers evaluate the pulse train in time, and its partial
+Fourier sum, as checks on the coefficients the package uses.  The
+other routes deliberately avoid the machinery used by the package:
+the classical cycle is integrated with an adaptive Runge-Kutta
 stepper instead of elliptic functions, the quantum period is built
 from a split-operator scheme on the angle grid instead of the
 tridiagonal eigenbasis, and the Floquet basis comes from a complex Schur
@@ -20,6 +22,7 @@ from scipy.linalg import schur
 
 from dkrotor.decoherence import OperatorCache
 from dkrotor.floquet import FloquetDecomposition
+from dkrotor.pulses import fourier_coefficient
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
                              initial_density)
 
@@ -35,6 +38,37 @@ def circular_distance(a, b):
     """Shortest angular distance between a and b."""
     d = np.mod(np.asarray(a) - np.asarray(b) + np.pi, TWO_PI) - np.pi
     return np.abs(d)
+
+
+def pulse_value(cfg, t):
+    """Drive value (0 or 1) at time t; t is reduced mod the unit period.
+
+    Windows are half-open [start, end), a measure-zero convention fixed
+    for reproducibility.
+    """
+    t = np.mod(np.asarray(t, dtype=float), 1.0)
+    a, d = cfg.alpha, cfg.delta
+    on = (t < a / 2.0) | ((t >= d) & (t < d + a / 2.0))
+    out = on.astype(float)
+    return out if out.ndim else float(out)
+
+
+def reconstruct_profile(cfg, t, m_max: int):
+    """Partial Fourier sum of the drive through harmonics |m| <= m_max.
+
+    Converges to pulse_value away from the jump points (and to 1/2 at
+    them, as any Fourier series does).
+    """
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
+    t = np.asarray(t, dtype=float)
+    tau = t - cfg.center
+    m = np.arange(1, m_max + 1)
+    coeffs = fourier_coefficient(cfg, m)
+    out = (fourier_coefficient(cfg, 0)
+           + 2.0 * np.sum(coeffs * np.cos(TWO_PI * np.outer(tau, m)), axis=-1))
+    # np.outer flattens, so scalar t arrives here as a 1-element row
+    return out.reshape(t.shape) if t.ndim else float(out[0])
 
 
 def pendulum_oracle(phi, p, w, K, rtol=1e-12, atol=1e-12):

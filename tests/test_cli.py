@@ -1,6 +1,7 @@
 """Config parsing, experiment pipelines, manifests, sweeps."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -128,6 +129,58 @@ def test_load_sweep_rejects_empty_token(tmp_path):
     assert err.value.field == "system.K"
 
 
+def test_load_sweep_rejects_repeated_token(tmp_path):
+    # two equal entries would name two runs alike and write one directory
+    for value in ("80, 80", "80, 120, 80.0"):
+        path = _write_config(tmp_path, f"[system]\nK = {value}\n")
+        with pytest.raises(SpecError) as err:
+            load_sweep(path)
+        assert err.value.field == "system.K"
+    path = _write_config(tmp_path, "[run]\nmode = quantum, quantum\n")
+    with pytest.raises(SpecError) as err:
+        load_sweep(path)
+    assert err.value.field == "run.mode"
+
+
+def test_load_sweep_names_runs_system_fields_first(tmp_path):
+    path = _write_config(tmp_path, """
+[run]
+mode = quantum, wigner
+
+[system]
+K = 80, 120
+""")
+    pairs = load_sweep(path)
+    assert [name for name, _ in pairs] == [
+        "K=80_mode=quantum", "K=80_mode=wigner",
+        "K=120_mode=quantum", "K=120_mode=wigner"]
+    assert [(spec.K, spec.mode) for _, spec in pairs] == [
+        (80.0, "quantum"), (80.0, "wigner"),
+        (120.0, "quantum"), (120.0, "wigner")]
+
+
+def test_sweep_files_do_not_depend_on_workers(tmp_path):
+    path = _write_config(tmp_path, """
+[system]
+K = 80, 180, 280
+
+[run]
+mode = classical
+kicks = 12
+ensemble = 1000
+seed = 2
+""")
+    results = {}
+    for workers in (1, 2):
+        root = tmp_path / f"w{workers}"
+        runs = sweep(load_sweep(path), root, workers=workers)
+        results[workers] = (
+            {name: manifest.files for name, manifest, _ in runs},
+            (root / "flux_vs_K.csv").read_bytes())
+    assert len(results[1][0]) == 3
+    assert results[2] == results[1]
+
+
 def test_sweep_requires_pairs(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         sweep([], tmp_path / "root")
@@ -218,6 +271,15 @@ def _loaded_by_cli_import(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip() == "True"
+
+
+def test_package_exports_its_public_names():
+    public = {name for name, value in vars(dkrotor).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(dkrotor.__all__) == len(set(dkrotor.__all__))
+    assert set(dkrotor.__all__) == public | {"__version__"}
+    for name in dkrotor.__all__:
+        getattr(dkrotor, name)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -227,6 +227,29 @@ def test_mc_deterministic_and_worker_invariant():
     assert not np.array_equal(a.outside_fraction, d.outside_fraction)
 
 
+def test_mc_start_states_are_generator_choice_draws():
+    # the start state inverts the cumulative weights once for all
+    # realizations; per (seed, i) stream that must pick the state
+    # Generator.choice(p=weights) picks and leave the stream where
+    # choice leaves it, so the trajectories' later draws match too
+    cfg = KickConfig(K=280.0)
+    weights = np.real(np.diag(initial_density(cfg, BASIS)))
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    R = 3000
+    counts = np.zeros(BASIS.size)
+    for i in range(R):
+        ours = np.random.default_rng(np.random.SeedSequence((11, i)))
+        ref = np.random.default_rng(np.random.SeedSequence((11, i)))
+        n0 = ref.choice(BASIS.size, p=weights)
+        assert cdf.searchsorted(ours.random(), side="right") == n0
+        assert ours.random() == ref.random()
+        counts[n0] += 1
+    mc = mc_wavefunction_run(cfg, BASIS, EmissionModel(eta=0.0), kicks=1,
+                             seed=11, realizations=R)
+    np.testing.assert_array_equal(np.rint(mc.distributions[0] * R), counts)
+
+
 def test_mc_bookkeeping_and_validation():
     cfg = KickConfig(K=120.0)
     mc = mc_wavefunction_run(cfg, BASIS, _continuous(0.4), kicks=4, seed=2,

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from dkrotor.floquet import (asymptotic_distribution, asymptotic_from_density,
-                             asymptotic_matrix, decompose)
+from dkrotor.floquet import asymptotic_matrix, decompose
 from dkrotor.pulses import TWO_PI, KickConfig
-from dkrotor.quantum import (CAYLEY_SHIFTS, MomentumBasis, build_period_operator,
-                             initial_density)
+from dkrotor.quantum import CAYLEY_SHIFTS, MomentumBasis, build_period_operator
 
 from helpers import schur_decomposition
 
@@ -77,27 +75,6 @@ def test_asymptotic_matrix_doubly_stochastic_and_symmetric():
     np.testing.assert_allclose(M.sum(axis=0), 1.0, atol=1e-8)
     np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-8)
     np.testing.assert_allclose(M, M.T, atol=1e-12)
-
-
-def test_asymptotic_distribution_is_matrix_column():
-    op = build_period_operator(KickConfig(K=120.0), BASIS)
-    dec = decompose(op)
-    M = asymptotic_matrix(dec)
-    for n0 in (64, 30, 101):
-        np.testing.assert_allclose(asymptotic_distribution(dec, n0), M[:, n0],
-                                   atol=1e-12)
-    dist = asymptotic_distribution(dec, 64)
-    assert dist.sum() == pytest.approx(1.0, abs=1e-8)
-
-
-def test_asymptotic_from_density_matches_column_sum():
-    cfg = KickConfig(K=180.0)
-    op = build_period_operator(cfg, BASIS)
-    dec = decompose(op)
-    rho = initial_density(cfg, BASIS)
-    want = asymptotic_matrix(dec) @ np.real(np.diag(rho))
-    np.testing.assert_allclose(asymptotic_from_density(dec, rho), want,
-                               atol=1e-10)
 
 
 def test_degenerate_cluster_is_flagged_and_localized():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from dkrotor.pulses import (KickConfig, PulseProfile, fourier_coefficient,
-                            pulse_value, reconstruct_profile)
+from dkrotor.pulses import KickConfig, fourier_coefficient
+from helpers import pulse_value, reconstruct_profile
 
 CFG = KickConfig(K=1.0)
 
@@ -15,11 +15,6 @@ def test_default_geometry():
     assert CFG.alpha == 0.1
     assert CFG.delta == 0.1
     assert CFG.center == pytest.approx(0.075, abs=1e-15)
-    prof = PulseProfile(CFG)
-    (s0, e0), (s1, e1) = prof.windows
-    assert (s0, e0) == (0.0, 0.05)
-    assert s1 == 0.1 and e1 == pytest.approx(0.15, abs=1e-15)
-    assert prof.on_time == 0.1
 
 
 def test_barrier_harmonics_vanish():
@@ -45,7 +40,7 @@ def test_coefficients_match_quadrature():
     # independent route: integrate the profile against cosines about the
     # symmetry point, splitting the integral at the jump discontinuities
     cfg = KickConfig(K=1.0, alpha=0.13, delta=0.31)
-    edges = [w for pair in PulseProfile(cfg).windows for w in pair]
+    edges = [0.0, cfg.alpha / 2.0, cfg.delta, cfg.delta + cfg.alpha / 2.0]
     for m in (1, 2, 3, 7, 12):
         cos_m, _ = quad(
             lambda t: pulse_value(cfg, t) * np.cos(2.0 * np.pi * m * (t - cfg.center)),
@@ -74,12 +69,6 @@ def test_pulse_value_periodic():
     np.testing.assert_array_equal(pulse_value(CFG, t + 3.0),
                                   pulse_value(CFG, t))
     np.testing.assert_array_equal(pulse_value(CFG, t - 2.0),
-                                  pulse_value(CFG, t))
-
-
-def test_profile_value_delegates():
-    t = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_array_equal(PulseProfile(CFG).value(t),
                                   pulse_value(CFG, t))
 
 
