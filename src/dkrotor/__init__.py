@@ -13,30 +13,26 @@ from .decoherence import (ANTI_ZENO, EmissionModel, MCResult, OperatorCache,
 from .diffusion import (DiffusionFit, decay_rate, fit_flux, flux_from_rate,
                         model_inside, model_outside)
 from .floquet import FloquetDecomposition, asymptotic_matrix, decompose
-from .pulses import KickConfig, fourier_coefficient
+from .pulses import Barrier, KickConfig, barrier, fourier_coefficient
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
                       build_period_operator, edge_population, evolve_density,
-                      initial_density, momentum_distribution,
-                      unitarity_defect)
+                      initial_density, unitarity_defect)
 from .wigner import (WidthCalibration, WignerGrid, calibrate_packet_width,
-                     gaussian_packet, strangeness, strangeness_sweep,
-                     two_packet_mixture, two_packet_superposition,
-                     wigner_transform)
+                     gaussian_packet, strangeness, two_packet_mixture,
+                     two_packet_superposition, wigner_transform)
 
 __all__ = [
-    "__version__",
-    "ANTI_ZENO", "ClassicalEnsemble", "DiffusionFit", "EmissionModel",
-    "EvolutionResult", "FloquetDecomposition", "KickConfig", "MCResult",
-    "MomentumBasis", "MomentumHistogram", "OperatorCache", "PeriodOperator",
-    "PhasePoint", "PropagationResult", "WidthCalibration", "WignerGrid",
-    "anti_zeno_map", "asymptotic_matrix", "build_period_operator",
-    "calibrate_packet_width", "decay_rate", "decompose", "edge_population",
-    "evolve_density", "fit_flux", "flux_from_rate", "fourier_coefficient",
-    "free_step", "gaussian_packet", "initial_density", "kick_cycle",
-    "mc_wavefunction_run", "model_inside", "model_outside",
-    "momentum_bin_edges", "momentum_distribution", "pendulum_step",
+    "__version__", "ANTI_ZENO", "Barrier", "ClassicalEnsemble", "DiffusionFit",
+    "EmissionModel", "EvolutionResult", "FloquetDecomposition", "KickConfig",
+    "MCResult", "MomentumBasis", "MomentumHistogram", "OperatorCache",
+    "PeriodOperator", "PhasePoint", "PropagationResult", "WidthCalibration",
+    "WignerGrid", "anti_zeno_map", "asymptotic_matrix", "barrier",
+    "build_period_operator", "calibrate_packet_width", "decay_rate",
+    "decompose", "edge_population", "evolve_density", "fit_flux",
+    "flux_from_rate", "fourier_coefficient", "free_step", "gaussian_packet",
+    "initial_density", "kick_cycle", "mc_wavefunction_run", "model_inside",
+    "model_outside", "momentum_bin_edges", "pendulum_step",
     "propagate_ensemble", "run_decohered", "sample_initial",
-    "spontaneous_emission_map", "strangeness", "strangeness_sweep",
-    "two_packet_mixture", "two_packet_superposition", "unitarity_defect",
-    "wigner_transform",
+    "spontaneous_emission_map", "strangeness", "two_packet_mixture",
+    "two_packet_superposition", "unitarity_defect", "wigner_transform",
 ]

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pulses import OUTSIDE_BOUNDARY, TWO_PI, KickConfig
+from .pulses import TWO_PI, KickConfig, barrier
 
 # read only by perfbench's tracer, which labels points by it; ROADMAP
 # item 4 deletes both
@@ -196,13 +196,15 @@ def momentum_bin_edges():
 def propagate_ensemble(ensemble: ClassicalEnsemble, cfg: KickConfig,
                        kicks: int) -> PropagationResult:
     """Propagate through `kicks` cycles, recording histograms and the
-    fraction with |p| > 10*pi after every kick (row 0 is the initial state).
+    fraction beyond the drive's cantorus (pulses.barrier) after every
+    kick (row 0 is the initial state).
 
     The ensemble is updated in place (kick_count advances).
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
     edges = momentum_bin_edges()
+    cantorus = barrier(cfg).cantorus
     n = len(ensemble)
     counts = np.empty((kicks + 1, HISTOGRAM_BINS), dtype=np.int64)
     outside = np.empty(kicks + 1)
@@ -213,7 +215,7 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, cfg: KickConfig,
         if t > 0:
             state = kick_cycle(state, cfg)
         counts[t] = np.histogram(state.p, bins=edges)[0]
-        outside[t] = np.count_nonzero(np.abs(state.p) > OUTSIDE_BOUNDARY) / n
+        outside[t] = np.count_nonzero(np.abs(state.p) > cantorus) / n
         max_abs_p[t] = np.max(np.abs(state.p))
 
     ensemble.phi = state.phi

@@ -34,7 +34,7 @@ from .decoherence import (ANTI_ZENO, EmissionModel, mc_wavefunction_run,
                           run_decohered)
 from .diffusion import fit_flux
 from .floquet import asymptotic_matrix, decompose
-from .pulses import KickConfig
+from .pulses import KickConfig, barrier
 from .quantum import (MomentumBasis, build_period_operator, edge_population,
                       initial_density, unitarity_defect)
 from .wigner import strangeness, wigner_transform
@@ -207,13 +207,13 @@ def spec_to_config(spec: ExperimentSpec) -> str:
 def validate(spec: ExperimentSpec) -> None:
     """Raise SpecError naming the first offending field.
 
-    The drive, ladder and emission parameters are checked by building
-    the library objects; each of their messages begins with the
-    parameter it rejects.
+    The drive, its barrier, the ladder and the emission parameters are
+    checked by building the library objects; each of their messages
+    begins with the parameter it rejects.
     """
     if spec.mode not in MODES:
         raise SpecError("run.mode", f"must be one of {', '.join(MODES)}")
-    for build in (spec.kick_config, spec.basis,
+    for build in (lambda: barrier(spec.kick_config()), spec.basis,
                   lambda: EmissionModel(eta=spec.eta)):
         try:
             build()
@@ -230,6 +230,9 @@ def validate(spec: ExperimentSpec) -> None:
     if spec.decoherence not in DECOHERENCE_CHOICES:
         raise SpecError("run.decoherence",
                         f"must be one of {', '.join(DECOHERENCE_CHOICES)}")
+    if spec.mode == "mc-wavefunction" and spec.decoherence == ANTI_ZENO:
+        raise SpecError("run.decoherence", "mc-wavefunction unravels "
+                        "emission only; anti-zeno has no trajectory model")
     if spec.seed < 0:
         raise SpecError("run.seed", "must be >= 0")
 
@@ -319,7 +322,7 @@ def _run_classical(spec, out, written):
     _write_outside(out / "outside_fraction.csv", result.outside_fraction,
                    written)
     if len(result.outside_fraction) >= 10:
-        fit = fit_flux(result.outside_fraction)
+        fit = fit_flux(cfg, result.outside_fraction)
         _write_json(out / "flux_fit.json",
                     {**asdict(fit), "K": spec.K}, written)
     return [spec.seed]

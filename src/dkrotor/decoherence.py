@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import OUTSIDE_BOUNDARY, KickConfig
+from .pulses import KickConfig, barrier
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
-                      build_period_operator, evolve_density, initial_density,
-                      momentum_distribution)
+                      _evolution_result, build_period_operator,
+                      evolve_density, initial_density)
 
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000
@@ -121,38 +121,29 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
         raise ValueError(f"unknown decoherence model: {model!r}")
 
     U = op.U
-    basis = op.basis
-    N = basis.size
-    dists = np.empty((kicks + 1, N))
-    outside = np.empty(kicks + 1)
-    dists[0], outside[0] = momentum_distribution(rho0, basis)
+    dists = np.empty((kicks + 1, op.basis.size))
+    dists[0] = np.real(np.diag(rho0))
 
     if model == ANTI_ZENO:
         M = np.abs(U)**2
-        d = np.real(np.diag(rho0)).copy()
+        d = dists[0]
         off_diag = rho0 - np.diag(np.diag(rho0))
         start = 1
         if np.max(np.abs(off_diag)) > 1e-14:
             # first cycle must see the coherences before projection
             rho = anti_zeno_map(U @ rho0 @ U.conj().T)
-            d = np.real(np.diag(rho))
-            dists[1], outside[1] = momentum_distribution(rho, basis)
+            d = dists[1] = np.real(np.diag(rho))
             start = 2
         for t in range(start, kicks + 1):
-            d = M @ d
-            dists[t] = d
-            outside[t] = float(
-                d[np.abs(basis.momenta) > OUTSIDE_BOUNDARY].sum())
-        return EvolutionResult(distributions=dists, outside_fraction=outside,
-                               final_density=np.diag(d).astype(complex))
+            d = dists[t] = M @ d
+        return _evolution_result(dists, op, np.diag(d).astype(complex))
 
     U_dag = U.conj().T
     rho = rho0
     for t in range(1, kicks + 1):
         rho = _emission_map_into(U @ rho @ U_dag, model.eta)
-        dists[t], outside[t] = momentum_distribution(rho, basis)
-    return EvolutionResult(distributions=dists, outside_fraction=outside,
-                           final_density=rho)
+        dists[t] = np.real(np.diag(rho))
+    return _evolution_result(dists, op, rho)
 
 
 class OperatorCache:
@@ -300,7 +291,7 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     # barrier crossing on ladder sites so the curve is comparable with
     # the density-matrix pipeline.  The outside rows are the two ends.
     inside = np.flatnonzero(np.abs(basis.indices * basis.hbar)
-                            <= OUTSIDE_BOUNDARY)
+                            <= barrier(cfg).cantorus)
     lo, hi = inside[0], inside[-1] + 1
 
     sum_dist = np.zeros((kicks + 1, basis.size))

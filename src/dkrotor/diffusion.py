@@ -1,12 +1,14 @@
 """Three-region diffusion model for transport through the momentum barriers.
 
-The partial barriers at p = +-10*pi separate a central region from two
-outer regions, all of phase-space area 40*pi^2, sealed from beyond by
-the unbroken tori at +-30*pi.  If each kick carries a phase-space area F
-across each barrier and the regions mix fast internally, occupation
-probabilities follow a three-state chain whose slow mode decays at rate
+The partial barriers at the drive's cantorus, p = +-p_b (pulses.barrier),
+separate a central region from two outer regions, all of phase-space
+area A, sealed from beyond by the unbroken tori at +-3 p_b; the default
+drive has p_b = 10*pi and A = 40*pi^2.  If each kick carries a
+phase-space area F across each barrier and the regions mix fast
+internally, occupation probabilities follow a three-state chain whose
+slow mode decays at rate
 
-    a = ln(1 - 3*F / (40*pi^2))   per kick,
+    a = ln(1 - 3*F / A)   per kick,
 
 so the inside probability relaxes from 1 to the uniform value 1/3.
 Fitting a line to ln(2/3 - P_outside) over early kicks recovers F from
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REGION_AREA = 40.0 * np.pi**2
+from .pulses import KickConfig, barrier
 
 # points this close to equilibrium carry no slope information
 EQUILIBRIUM_CUTOFF = np.exp(-3.0)
@@ -51,38 +53,37 @@ class DiffusionFit:
     valid: bool
 
 
-def decay_rate(F: float) -> float:
-    """Per-kick decay rate a = ln(1 - 3F/area); negative for F > 0."""
-    x = 3.0 * F / REGION_AREA
+def decay_rate(cfg: KickConfig, F: float) -> float:
+    """Per-kick decay rate a = ln(1 - 3F/A); negative for F > 0."""
+    x = 3.0 * F / barrier(cfg).region_area
     if not 0.0 <= x < 1.0:
-        raise ValueError(
-            f"F must satisfy 0 <= 3F/(40 pi^2) < 1, got F={F}")
+        raise ValueError(f"F must satisfy 0 <= 3F/A < 1, got F={F}")
     return float(np.log1p(-x))
 
 
-def model_inside(F: float, t) -> float:
-    """P(|p| < 10*pi, t) = 1/3 + (2/3) exp(a t)."""
-    a = decay_rate(F)
+def model_inside(cfg: KickConfig, F: float, t) -> float:
+    """P(|p| < p_b, t) = 1/3 + (2/3) exp(a t)."""
+    a = decay_rate(cfg, F)
     out = 1.0 / 3.0 + (2.0 / 3.0) * np.exp(a * np.asarray(t, dtype=float))
     return out if out.ndim else float(out)
 
 
-def model_outside(F: float, t) -> float:
-    """P(|p| > 10*pi, t) = (2/3)(1 - exp(a t)); complements model_inside."""
-    a = decay_rate(F)
+def model_outside(cfg: KickConfig, F: float, t) -> float:
+    """P(|p| > p_b, t) = (2/3)(1 - exp(a t)); complements model_inside."""
+    a = decay_rate(cfg, F)
     out = (2.0 / 3.0) * (1.0 - np.exp(a * np.asarray(t, dtype=float)))
     return out if out.ndim else float(out)
 
 
-def flux_from_rate(a: float) -> float:
-    """Invert a = ln(1 - 3F/area) for F."""
-    return float(-np.expm1(a) * REGION_AREA / 3.0)
+def flux_from_rate(cfg: KickConfig, a: float) -> float:
+    """Invert a = ln(1 - 3F/A) for F."""
+    return float(-np.expm1(a) * barrier(cfg).region_area / 3.0)
 
 
-def fit_flux(series, window=DEFAULT_WINDOW) -> DiffusionFit:
+def fit_flux(cfg: KickConfig, series, window=DEFAULT_WINDOW) -> DiffusionFit:
     """Estimate flux per kick from an outside-fraction series.
 
-    series[t] is P(|p| > 10*pi) after t kicks.  A line is fitted to
+    series[t] is P(|p| > p_b) after t kicks.  A line is fitted to
     ln(2/3 - series) on the kick window, after dropping points beyond
     2/3 (counted in n_dropped) and points within exp(-3) of
     equilibrium.  Too few surviving points raises the rejected flag
@@ -114,7 +115,7 @@ def fit_flux(series, window=DEFAULT_WINDOW) -> DiffusionFit:
     logy = np.log(y_use)
     a, intercept = np.polyfit(t_use, logy, 1)
     residual = float(np.sqrt(np.mean((logy - (a * t_use + intercept))**2)))
-    F = flux_from_rate(a)
+    F = flux_from_rate(cfg, a)
     return DiffusionFit(F=F, a=float(a),
                         fit_window=(int(t_use[0]), int(t_use[-1])),
                         residual=residual, n_dropped=n_dropped,

@@ -10,19 +10,19 @@ point gives real, even coefficients
 
 The zeros of a_m select the momenta p = 2*pi*m where the resonant terms
 of the drive vanish, which is where invariant momentum boundaries
-survive to large kick strength.
+survive to large kick strength; barrier() derives them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# |p| beyond which a state counts as outside the cantorus at p = pi/delta
-# for the default delta = 0.1
-OUTSIDE_BOUNDARY = 10.0 * np.pi
+# |a_m| at or below this fraction of alpha counts as a zero of the drive
+ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,3 +84,37 @@ def fourier_coefficient(cfg: KickConfig, m) -> float:
     a, d = cfg.alpha, cfg.delta
     out = a * _sinc(m * np.pi * a / 2.0) * np.cos(m * np.pi * d)
     return out if out.ndim else float(out)
+
+
+class Barrier(NamedTuple):
+    """The cantorus at |p| = cantorus and the torus at 3 * cantorus bound
+    three regions of a drive, each of phase-space area region_area."""
+
+    cantorus: float
+    region_area: float
+
+
+def barrier(cfg: KickConfig) -> Barrier:
+    """Barrier geometry from the zeros of a_m on the momentum ladder.
+
+    The cosine factor vanishes first at m = 1/(2 delta) and next at 3m.
+    When these are the only zeros in 1..3m, the cantorus at p = 2 pi m
+    and the torus at 6 pi m bound three regions of area
+    2 pi * 4 pi m = 8 m pi^2.  Any other drive raises ValueError naming
+    delta (no zero at m and 3m) or alpha (a pulse-width zero of a_m
+    splits a region).  delta >= alpha/2 gives 3m < 4/alpha wherever m is a
+    zero, so the pulse-width factor can only vanish in 1..3m at 2/alpha.
+    """
+    m = round(0.5 / cfg.delta)
+    ms = np.array([k for k in {m, 3 * m, round(2.0 / cfg.alpha)}
+                   if k <= 3 * m])
+    zeros = set(ms[np.abs(fourier_coefficient(cfg, ms))
+                   <= ZERO_TOL * cfg.alpha].tolist())
+    if not {m, 3 * m} <= zeros:
+        raise ValueError(f"delta must make a_m vanish at m = 1/(2 delta) "
+                         f"and 3/(2 delta), got delta={cfg.delta}")
+    if zeros != {m, 3 * m}:
+        raise ValueError(f"alpha must keep a_m nonzero at m = 1..{3 * m} "
+                         f"but {m} and {3 * m}, got alpha={cfg.alpha}, "
+                         f"zero at m = {sorted(zeros - {m, 3 * m})}")
+    return Barrier(cantorus=TWO_PI * m, region_area=8.0 * m * np.pi**2)

@@ -11,7 +11,8 @@ couples neighboring rungs with -K/2).  The one-period operator is
 
 built from the eigendecomposition of the real symmetric tridiagonal
 pulse Hamiltonian.  Truncation is a hard wall; the basis is sized so the
-state never reaches the edge (the +-30*pi tori confine it first).
+state never reaches the edge (the drive's outer tori, at three times its
+cantorus momentum, confine it first).
 
 The cycle is palindromic up to the free tail: with the diagonal
 s = F((1 - delta - alpha/2) / 2), the operator U_s = s^-1 U s =
@@ -25,7 +26,8 @@ factored once into amplitude columns, rho = W W+ (from its
 eigendecomposition, columns V_m sqrt(lambda_m)), so rho_t = W_t W_t+ with
 W_t = U^t W = s O (lambda^t * C) and C = O^T s^-1 W: each kick is one
 real-by-complex product O @ C, and the momentum distribution is the row
-sums of |W_t|^2.
+sums of |W_t|^2.  The outside fraction is the probability beyond the
+drive's cantorus (pulses.barrier).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pulses import OUTSIDE_BOUNDARY, KickConfig
+from .pulses import KickConfig, barrier
 
 # largest anti-Hermitian part and most negative eigenvalue accepted in a
 # density matrix handed to evolve_density
@@ -214,11 +216,15 @@ def build_period_operator(cfg: KickConfig, basis: MomentumBasis) -> PeriodOperat
     return op
 
 
-def momentum_distribution(rho: np.ndarray, basis: MomentumBasis):
-    """Diagonal of rho as probabilities, plus the fraction at |p| > 10*pi."""
-    probs = np.real(np.diag(rho)).copy()
-    outside = float(probs[np.abs(basis.momenta) > OUTSIDE_BOUNDARY].sum())
-    return probs, outside
+def _evolution_result(dists: np.ndarray, op: PeriodOperator,
+                      final_density: np.ndarray) -> EvolutionResult:
+    """EvolutionResult of recorded distributions, with the probability
+    beyond the cantorus of op.config as each row's outside fraction."""
+    outer = np.abs(op.basis.momenta) > barrier(op.config).cantorus
+    # summed row by row: the masked 2-D sum rounds differently
+    outside = np.array([row[outer].sum() for row in dists])
+    return EvolutionResult(distributions=dists, outside_fraction=outside,
+                           final_density=final_density)
 
 
 def _amplitude_columns(rho: np.ndarray) -> np.ndarray:
@@ -250,13 +256,9 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
-    basis = op.basis
-    outer = np.abs(basis.momenta) > OUTSIDE_BOUNDARY
-    dists = np.empty((kicks + 1, basis.size))
-    outside = np.empty(kicks + 1)
-
+    dists = np.empty((kicks + 1, op.basis.size))
     W = _amplitude_columns(rho)
-    dists[0], outside[0] = momentum_distribution(rho, basis)
+    dists[0] = np.real(np.diag(rho))
     s, O, lam, _ = _symmetric_eigh(op)
     C = _real_matmul(O.T, s.conj()[:, None] * W)
     lam = lam[:, None]
@@ -266,10 +268,8 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
         # row sums of |Y|^2 over the interleaved real and imaginary parts
         re_im = Y.view(np.float64)
         dists[t] = np.einsum("ij,ij->i", re_im, re_im)
-        outside[t] = float(dists[t, outer].sum())
     W = s[:, None] * Y
-    return EvolutionResult(distributions=dists, outside_fraction=outside,
-                           final_density=W @ W.conj().T)
+    return _evolution_result(dists, op, W @ W.conj().T)
 
 
 def unitarity_defect(U: np.ndarray) -> float:

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import EmissionModel, run_decohered
-from .pulses import KickConfig
-from .quantum import MomentumBasis, build_period_operator, initial_density
+from .quantum import MomentumBasis
 
 IMAG_TOL = 1e-10
 
@@ -197,29 +195,3 @@ def calibrate_packet_width(basis: MomentumBasis,
     return WidthCalibration(width=width, S_mixed=Sm, S_superposed=Ss,
                             ratio=Ss / Sm, target_mixed=tm,
                             target_superposed=ts)
-
-
-def strangeness_sweep(K_values, eta_values, kicks: int = 20,
-                      basis: MomentumBasis | None = None,
-                      alpha: float = 0.1, delta: float = 0.1,
-                      sigma_p: float = 3.6 * np.pi) -> list:
-    """S of the evolved state after `kicks` cycles per (K, eta) pair.
-
-    eta = 0 runs coherently; eta > 0 applies the discretized
-    spontaneous-emission map each cycle.  Returns rows of
-    {"K", "eta", "S"}.
-    """
-    if basis is None:
-        basis = MomentumBasis()
-    rows = []
-    for K in K_values:
-        cfg = KickConfig(K=float(K), alpha=alpha, delta=delta,
-                         hbar=basis.hbar, sigma_p=sigma_p)
-        op = build_period_operator(cfg, basis)
-        rho0 = initial_density(cfg, basis)
-        for eta in eta_values:
-            model = None if eta == 0 else EmissionModel(eta=float(eta))
-            result = run_decohered(rho0, op, model, kicks)
-            S = strangeness(wigner_transform(result.final_density, basis))
-            rows.append({"K": float(K), "eta": float(eta), "S": S})
-    return rows

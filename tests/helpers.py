@@ -20,11 +20,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import schur
 
-from dkrotor.decoherence import OperatorCache
+from dkrotor.decoherence import EmissionModel, OperatorCache, run_decohered
 from dkrotor.floquet import FloquetDecomposition
-from dkrotor.pulses import fourier_coefficient
+from dkrotor.pulses import KickConfig, fourier_coefficient
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
                              initial_density)
+from dkrotor.wigner import strangeness, wigner_transform
 
 TWO_PI = 2.0 * np.pi
 
@@ -317,3 +318,23 @@ def mc_reference(cfg, basis, model, kicks, seed, realizations, q_grid=64):
     mean = series.mean(axis=0)
     stderr = series.std(axis=0) / np.sqrt(max(realizations - 1, 1))
     return dists / realizations, mean, stderr
+
+
+def strangeness_sweep(K_values, eta_values, kicks=20, basis=MomentumBasis()):
+    """S of the evolved state after `kicks` cycles per (K, eta) pair.
+
+    eta = 0 runs coherently; eta > 0 applies the discretized
+    spontaneous-emission map each cycle.  Returns rows of
+    {"K", "eta", "S"}.
+    """
+    rows = []
+    for K in K_values:
+        cfg = KickConfig(K=float(K), hbar=basis.hbar)
+        op = build_period_operator(cfg, basis)
+        rho0 = initial_density(cfg, basis)
+        for eta in eta_values:
+            model = None if eta == 0 else EmissionModel(eta=float(eta))
+            result = run_decohered(rho0, op, model, kicks)
+            S = strangeness(wigner_transform(result.final_density, basis))
+            rows.append({"K": float(K), "eta": float(eta), "S": S})
+    return rows

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import ellipj
+from scipy.special import ellipj, erfc
 
 from dkrotor.classical import (HISTOGRAM_BINS, HISTOGRAM_SPAN, PhasePoint,
                                _jacobi, free_step, kick_cycle,
@@ -246,6 +246,16 @@ def test_propagation_bookkeeping():
     edges = res.histogram.bin_edges
     assert edges[0] == -HISTOGRAM_SPAN and edges[-1] == HISTOGRAM_SPAN
     assert res.histogram.bin_centers.shape == (HISTOGRAM_BINS,)
+
+
+def test_outside_fraction_scores_the_drives_cantorus():
+    # at delta = 1/6 the first ladder zero, and so the cantorus, is 6 pi
+    cfg = KickConfig(K=0.0, delta=1.0 / 6.0)
+    n = 20000
+    res = propagate_ensemble(sample_initial(cfg, n, seed=3), cfg, 1)
+    tail = erfc(6.0 * np.pi / (np.sqrt(2.0) * cfg.sigma_p))
+    binomial_se = np.sqrt(tail * (1.0 - tail) / n)
+    assert abs(res.outside_fraction[0] - tail) < 4.0 * binomial_se
 
 
 def test_propagation_deterministic():

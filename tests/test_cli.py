@@ -89,6 +89,10 @@ def test_load_spec_rejects_unknown_and_malformed(tmp_path):
     ("run.decoherence", {"decoherence": "sometimes"}),
     ("run.seed", {"seed": -1}),
     ("run.basis_size", {"basis_size": 63}),
+    ("system.delta", {"delta": 0.2}),
+    ("system.alpha", {"alpha": 0.2}),
+    ("run.decoherence", {"mode": "mc-wavefunction",
+                         "decoherence": "anti-zeno"}),
 ])
 def test_validate_names_offending_field(field, kwargs):
     with pytest.raises(SpecError) as err:
@@ -322,7 +326,7 @@ def test_run_cleans_partial_outputs_on_failure(tmp_path, monkeypatch):
     out = tmp_path / "broken"
     spec = load_spec(_classical_config(tmp_path, out))
 
-    def boom(series, window=(5, 50)):
+    def boom(cfg, series, window=(5, 50)):
         raise RuntimeError("fit exploded")
 
     monkeypatch.setattr(cli, "fit_flux", boom)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from dkrotor.pulses import KickConfig, fourier_coefficient
+from dkrotor.pulses import KickConfig, barrier, fourier_coefficient
 from helpers import pulse_value, reconstruct_profile
 
 CFG = KickConfig(K=1.0)
@@ -25,6 +25,23 @@ def test_barrier_harmonics_vanish():
     assert abs(fourier_coefficient(CFG, 25)) < 1e-15
     # m = 20 vanishes too, via the pulse-width factor instead
     assert abs(fourier_coefficient(CFG, 20)) < 1e-15
+
+
+def test_barrier_geometry_from_the_zeros():
+    # the cantorus sits at the first ladder zero 2 pi m, m = 1/(2 delta),
+    # and each of the three regions has area 2 pi * 4 pi m
+    default = barrier(CFG)
+    assert default.cantorus == 10.0 * np.pi
+    assert default.region_area == 40.0 * np.pi**2
+    sixth = barrier(KickConfig(K=1.0, delta=1.0 / 6.0))
+    assert sixth.cantorus == 6.0 * np.pi
+    assert sixth.region_area == 24.0 * np.pi**2
+    # no ladder zero at m = round(1/(2 delta)) = 2
+    with pytest.raises(ValueError, match="^delta"):
+        barrier(KickConfig(K=1.0, delta=0.2))
+    # zeros at m = 5, 10 and 15: the one at 10 splits the outer region
+    with pytest.raises(ValueError, match="^alpha"):
+        barrier(KickConfig(K=1.0, alpha=0.2))
 
 
 def test_non_vanishing_harmonics():

@@ -7,7 +7,7 @@ from dkrotor.pulses import KickConfig
 from dkrotor.quantum import (MomentumBasis, _time_reversal_frame,
                              build_period_operator, edge_population,
                              evolve_density, initial_density,
-                             momentum_distribution, unitarity_defect)
+                             unitarity_defect)
 from helpers import narrow_packet, split_operator_period
 
 BASIS = MomentumBasis()
@@ -89,9 +89,10 @@ def test_momentum_distribution_outside_cut():
     rho[i[12], i[12]] = 0.4
     rho[i[13], i[13]] = 0.35
     rho[i[-13], i[-13]] = 0.25
-    probs, outside = momentum_distribution(rho, BASIS)
-    assert probs.sum() == pytest.approx(1.0)
-    assert outside == pytest.approx(0.6, abs=1e-14)
+    op = build_period_operator(KickConfig(K=0.0), BASIS)
+    res = evolve_density(rho, op, 1)
+    assert res.distributions[0].sum() == pytest.approx(1.0)
+    assert res.outside_fraction[0] == pytest.approx(0.6, abs=1e-14)
 
 
 def test_parity_symmetry_on_interior_block():
@@ -158,8 +159,7 @@ def test_evolve_density_matches_dense_loop(start, q):
            if start == "mixed" else packet)
     res = evolve_density(rho, op, 15)
     dists, final = _dense_evolution(rho, op, 15)
-    outside = np.array([momentum_distribution(np.diag(d), basis)[1]
-                        for d in dists])
+    outside = dists[:, np.abs(basis.momenta) > 10.0 * np.pi].sum(axis=1)
     np.testing.assert_allclose(res.distributions, dists, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.outside_fraction, outside, rtol=0,
                                atol=1e-13)

@@ -6,9 +6,9 @@ import pytest
 from dkrotor.pulses import KickConfig
 from dkrotor.quantum import MomentumBasis, initial_density
 from dkrotor.wigner import (WidthCalibration, calibrate_packet_width,
-                            gaussian_packet, strangeness, strangeness_sweep,
-                            two_packet_mixture, two_packet_superposition,
-                            wigner_transform)
+                            gaussian_packet, strangeness, two_packet_mixture,
+                            two_packet_superposition, wigner_transform)
+from helpers import strangeness_sweep
 
 BASIS = MomentumBasis()
 N = 128
