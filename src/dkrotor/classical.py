@@ -20,6 +20,10 @@ in closed form.  They come from the Maclaurin series at v / 2^j and j
 argument doublings (DLMF 22.10(i), 22.6(ii)), written in the parameter
 m' = 1 - m that the state gives without cancellation, so points on and
 near the separatrix take the same path as all others.
+
+Segments carry the half-angle pair (s, c) with p: a pulse maps it by
+the addition theorem and a free segment turns it through tan(p w / 4),
+so phi is formed from it, and it from phi, once per public call.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ import numpy as np
 
 from .pulses import TWO_PI, KickConfig, barrier
 
-# read only by perfbench's tracer, which labels points by it; ROADMAP
-# item 4 deletes both
+# read only by perfbench's tracer, to label points; ROADMAP item 1 drops both
 SEPARATRIX_BAND = 1e-9
 
 HISTOGRAM_SPAN = 35.0 * np.pi
@@ -78,19 +81,19 @@ class PropagationResult:
     max_abs_p: np.ndarray
 
 
-def _wrap(phi):
-    """phi mod 2*pi in [0, 2*pi); np.mod rounds a tiny negative phi up to
-    2*pi itself."""
+def _point(s, phi, p) -> PhasePoint:
+    """(phi mod 2 pi, p), floats for a scalar s; np.mod rounds -tiny to 2 pi."""
     phi = np.mod(phi, TWO_PI)
-    return np.where(phi < TWO_PI, phi, 0.0)
+    phi = np.where(phi < TWO_PI, phi, 0.0)
+    if np.ndim(s.phi) == 0 and np.ndim(s.p) == 0:
+        return PhasePoint(phi.item(), p.item())
+    return PhasePoint(phi, p)
 
 
 def free_step(s: PhasePoint, w: float) -> PhasePoint:
     """Free rotation for time w: phi advances by p*w, p unchanged."""
-    if np.ndim(s.phi) == 0 and np.ndim(s.p) == 0:
-        return PhasePoint(float(_wrap(s.phi + s.p * w)), float(s.p))
     p = np.asarray(s.p, dtype=float)
-    return PhasePoint(_wrap(np.asarray(s.phi, dtype=float) + p * w), p)
+    return _point(s, np.asarray(s.phi, dtype=float) + p * w, p)
 
 
 def _jacobi(v, m, mc):
@@ -113,16 +116,80 @@ def _jacobi(v, m, mc):
     s2 = sn * sn
     cn = np.sqrt(1.0 - s2)
     dn = np.sqrt(1.0 - m * s2)
+    # in place: fresh arrays make the loop 15-30% slower at 1e4 points
     for _ in range(j):
-        c2 = cn * cn
-        s4 = s2 * s2
-        c4 = c2 * c2
-        den = c2 * (1.0 + s2) + mc * s4
-        sn = 2.0 * sn * cn * dn / den
-        cn = (c4 - mc * s4) / den
-        dn = (mc + m * c4) / den
-        s2 = sn * sn
+        c4 = cn * cn
+        r = s2 + 1.0
+        r *= c4
+        c4 *= c4
+        ms4 = s2 * s2
+        ms4 *= mc
+        r += ms4
+        np.reciprocal(r, out=r)  # 1 / (1 - m sn^4)
+        sn *= cn
+        sn *= dn
+        sn *= r
+        sn += sn
+        np.subtract(c4, ms4, out=cn)
+        cn *= r
+        np.multiply(m, c4, out=dn)
+        dn += mc
+        dn *= r
+        np.multiply(sn, sn, out=s2)
     return sn, cn, dn
+
+
+def _pulse(sh, ch, p, w, K):
+    """Pendulum segment of width w on the half-angle state."""
+    q = p / (2.0 * np.sqrt(K))
+    mu = q * q + sh * sh  # (E + K) / 2K
+    gap = ch * ch - q * q  # 1 - mu
+    rot = gap < 0.0
+    # libration: m = mu, g = 1; rotation: m = 1/mu, g = k = 1/sqrt(mu);
+    # on both branches m' = 1 - m = |gap| / scale
+    scale = np.where(rot, mu, 1.0)
+    inv = 1.0 / scale
+    g = np.sqrt(inv)
+    sn, cn, dn = _jacobi(np.sqrt(K * scale) * w, np.where(rot, inv, mu),
+                         np.abs(gap) * inv)
+    # sn, cn, dn of the start u0 are (s/k, q/k, c) in libration and
+    # (s, c, k q) in rotation; the addition theorem combines them with
+    # those of v over 1 - (g s sn(v))^2.  The branches differ only in
+    # which of cn(v), dn(v) goes with the angle (a) or momentum (b).
+    a = ch * np.where(rot, cn, dn)
+    b = q * np.where(rot, dn, cn)
+    gs = g * sh * sn
+    r = 1.0 / (1.0 - gs * gs)
+    return ((sh * cn * dn + g * q * ch * sn) * r, (a - gs * b) * r,
+            2.0 * np.sqrt(K) * (b - gs * a) * r)
+
+
+def _drift(sh, ch, p, w):
+    """Free rotation for time w: the half angle turns by p w / 2, through
+    t = tan(p w / 4) as the rotation (1 - t^2, 2 t) rescaled to 1."""
+    t = np.tan(p * (0.25 * w))
+    a = 1.0 - t * t
+    t += t
+    sh, ch = sh * a + ch * t, ch * a - sh * t
+    norm = 1.0 / np.sqrt(sh * sh + ch * ch)
+    return sh * norm, ch * norm
+
+
+def _cycle(sh, ch, p, cfg: KickConfig):
+    if cfg.K == 0.0:
+        return (*_drift(sh, ch, p, 1.0), p)
+    half = cfg.alpha / 2.0
+    for free in (cfg.delta - half, 1.0 - cfg.delta - half):
+        sh, ch, p = _pulse(sh, ch, p, half, cfg.K)
+        sh, ch = _drift(sh, ch, p, free)
+    return sh, ch, p
+
+
+def _on_half_angles(s, step, *args) -> PhasePoint:
+    """step(sh, ch, p, *args) from s, with one conversion in and one out."""
+    phi, p = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (s.phi, s.p))
+    sh, ch, p = step(np.sin(0.5 * phi), np.cos(0.5 * phi), p, *args)
+    return _point(s, 2.0 * np.arctan2(sh, ch), p)
 
 
 def pendulum_step(s: PhasePoint, w: float, K: float) -> PhasePoint:
@@ -137,46 +204,12 @@ def pendulum_step(s: PhasePoint, w: float, K: float) -> PhasePoint:
         raise ValueError(f"w must be >= 0, got {w}")
     if K == 0.0 or w == 0.0:
         return free_step(s, w)
-
-    phi = np.asarray(s.phi, dtype=float)
-    sh = np.sin(0.5 * phi)
-    ch = np.cos(0.5 * phi)
-    q = np.asarray(s.p, dtype=float) / (2.0 * np.sqrt(K))
-    mu = q * q + sh * sh  # (E + K) / 2K
-    gap = ch * ch - q * q  # 1 - mu
-    rot = gap < 0.0
-    # libration: m = mu, g = 1; rotation: m = 1/mu, g = k = 1/sqrt(mu);
-    # on both branches m' = 1 - m = |gap| / scale
-    scale = np.where(rot, mu, 1.0)
-    inv = 1.0 / scale
-    g = np.sqrt(inv)
-    sn, cn, dn = _jacobi(np.sqrt(K * scale) * w, np.where(rot, inv, mu),
-                         np.abs(gap) * inv)
-    # sn, cn, dn of the start u0 are (s/k, q/k, c) in libration and
-    # (s, c, k q) in rotation; the addition theorem combines them with
-    # those of v.  The branches differ only in which of cn(v), dn(v)
-    # goes with the angle (a) and which with the momentum (b).
-    a = np.where(rot, cn, dn)
-    b = np.where(rot, dn, cn)
-    gq = g * q
-    out_phi = _wrap(2.0 * np.arctan2(sh * cn * dn + gq * ch * sn,
-                                     ch * a - gq * sh * sn * b))
-    gs = g * sh * sn
-    out_p = 2.0 * np.sqrt(K) * (q * b - gs * ch * a) / (1.0 - gs * gs)
-
-    if np.ndim(out_phi) == 0:
-        return PhasePoint(float(out_phi), float(out_p))
-    return PhasePoint(out_phi, out_p)
+    return _on_half_angles(s, _pulse, w, K)
 
 
 def kick_cycle(s: PhasePoint, cfg: KickConfig) -> PhasePoint:
     """One full drive period, strobed at the leading edge of pulse one."""
-    half = cfg.alpha / 2.0
-    s = pendulum_step(s, half, cfg.K)
-    s = free_step(s, cfg.delta - half)
-    s = pendulum_step(s, half, cfg.K)
-    s = free_step(s, 1.0 - cfg.delta - half)
-    return s
+    return _on_half_angles(s, _cycle, cfg)
 
 
 def sample_initial(cfg: KickConfig, n: int, seed=None) -> ClassicalEnsemble:
@@ -210,16 +243,16 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, cfg: KickConfig,
     outside = np.empty(kicks + 1)
     max_abs_p = np.empty(kicks + 1)
 
-    state = PhasePoint(ensemble.phi, ensemble.p)
-    for t in range(kicks + 1):
-        if t > 0:
-            state = kick_cycle(state, cfg)
-        counts[t] = np.histogram(state.p, bins=edges)[0]
-        outside[t] = np.count_nonzero(np.abs(state.p) > cantorus) / n
-        max_abs_p[t] = np.max(np.abs(state.p))
+    def record(sh, ch, p):
+        for t in range(kicks + 1):
+            if t > 0:
+                sh, ch, p = _cycle(sh, ch, p, cfg)
+            counts[t] = np.histogram(p, bins=edges)[0]
+            outside[t] = np.count_nonzero(np.abs(p) > cantorus) / n
+            max_abs_p[t] = np.max(np.abs(p))
+        return sh, ch, p
 
-    ensemble.phi = state.phi
-    ensemble.p = state.p
+    ensemble.phi, ensemble.p = _on_half_angles(ensemble, record)
     ensemble.kick_count += kicks
     return PropagationResult(
         histogram=MomentumHistogram(bin_edges=edges, counts=counts),

@@ -192,35 +192,27 @@ def load_sweep(path) -> list:
     return pairs
 
 
-def spec_to_config(spec: ExperimentSpec) -> str:
-    """Serialize back to INI; load_spec(spec_to_config(s)) == s."""
-    lines = []
-    for section in ("system", "run"):
-        lines.append(f"[{section}]")
-        lines += [f"{key} = {_fmt(value)}"
-                  for key, value in asdict(spec).items()
-                  if _SECTION[key] == section]
-        lines.append("")
-    return "\n".join(lines)
-
-
 def validate(spec: ExperimentSpec) -> None:
     """Raise SpecError naming the first offending field.
 
     The drive, its barrier, the ladder and the emission parameters are
     checked by building the library objects; each of their messages
-    begins with the parameter it rejects.
+    begins with the parameter it rejects.  A mode with a momentum ladder
+    needs it to reach the torus at 3 p_b.
     """
     if spec.mode not in MODES:
         raise SpecError("run.mode", f"must be one of {', '.join(MODES)}")
-    for build in (lambda: barrier(spec.kick_config()), spec.basis,
-                  lambda: EmissionModel(eta=spec.eta)):
-        try:
-            build()
-        except ValueError as exc:
-            name = str(exc).split()[0]
-            raise SpecError(_field("basis_size" if name == "size" else name),
-                            str(exc)) from None
+    try:
+        torus = 3.0 * barrier(spec.kick_config()).cantorus
+        spec.basis()
+        EmissionModel(eta=spec.eta)
+    except ValueError as exc:
+        name = str(exc).split()[0]
+        raise SpecError(_field("basis_size" if name == "size" else name),
+                        str(exc)) from None
+    if spec.mode != "classical" and spec.basis_size * spec.hbar / 2 < torus:
+        raise SpecError("run.basis_size",
+                        f"the ladder ends inside the torus at {torus:g}")
     if spec.kicks < 1:
         raise SpecError("run.kicks", "must be >= 1")
     if spec.ensemble < 1:

@@ -61,20 +61,6 @@ def decay_rate(cfg: KickConfig, F: float) -> float:
     return float(np.log1p(-x))
 
 
-def model_inside(cfg: KickConfig, F: float, t) -> float:
-    """P(|p| < p_b, t) = 1/3 + (2/3) exp(a t)."""
-    a = decay_rate(cfg, F)
-    out = 1.0 / 3.0 + (2.0 / 3.0) * np.exp(a * np.asarray(t, dtype=float))
-    return out if out.ndim else float(out)
-
-
-def model_outside(cfg: KickConfig, F: float, t) -> float:
-    """P(|p| > p_b, t) = (2/3)(1 - exp(a t)); complements model_inside."""
-    a = decay_rate(cfg, F)
-    out = (2.0 / 3.0) * (1.0 - np.exp(a * np.asarray(t, dtype=float)))
-    return out if out.ndim else float(out)
-
-
 def flux_from_rate(cfg: KickConfig, a: float) -> float:
     """Invert a = ln(1 - 3F/A) for F."""
     return float(-np.expm1(a) * barrier(cfg).region_area / 3.0)

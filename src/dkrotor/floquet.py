@@ -57,10 +57,6 @@ class FloquetDecomposition:
     reconstruction_residual: float
 
     @property
-    def has_degeneracies(self) -> bool:
-        return len(self.degenerate_clusters) > 0
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         return np.exp(-1j * self.quasi_energies / self.hbar)
 

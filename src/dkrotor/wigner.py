@@ -51,12 +51,6 @@ class WignerGrid:
     coarse_momenta: np.ndarray
     norm_constant: float
 
-    def momentum_marginal(self) -> np.ndarray:
-        return self.coarse.sum(axis=1)
-
-    def position_marginal(self) -> np.ndarray:
-        return self.coarse.sum(axis=0)
-
 
 def wigner_transform(rho: np.ndarray, basis: MomentumBasis) -> WignerGrid:
     """Toroidal Wigner grid of rho with 2x2 coarse graining.
@@ -149,10 +143,6 @@ class WidthCalibration:
     ratio: float
     target_mixed: float
     target_superposed: float
-
-    @property
-    def target_ratio(self) -> float:
-        return self.target_superposed / self.target_mixed
 
 
 def _two_packet_S(basis, width):

@@ -12,15 +12,21 @@ The trajectory reference runs the Monte Carlo
 wavefunction model one realization and one kick at a time.  Keep them
 dumb and slow; their only job is to disagree loudly when the fast
 implementations drift.
+
+The three-region model curves and the INI writer for an ExperimentSpec
+are used by the tests alone.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict, fields
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import schur
 
 from dkrotor.decoherence import EmissionModel, OperatorCache, run_decohered
+from dkrotor.diffusion import decay_rate
 from dkrotor.floquet import FloquetDecomposition
 from dkrotor.pulses import KickConfig, fourier_coefficient
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
@@ -70,6 +76,33 @@ def reconstruct_profile(cfg, t, m_max: int):
            + 2.0 * np.sum(coeffs * np.cos(TWO_PI * np.outer(tau, m)), axis=-1))
     # np.outer flattens, so scalar t arrives here as a 1-element row
     return out.reshape(t.shape) if t.ndim else float(out[0])
+
+
+def model_inside(cfg, F, t):
+    """P(|p| < p_b, t) = 1/3 + (2/3) exp(a t) of the three-region model."""
+    a = decay_rate(cfg, F)
+    out = 1.0 / 3.0 + (2.0 / 3.0) * np.exp(a * np.asarray(t, dtype=float))
+    return out if out.ndim else float(out)
+
+
+def model_outside(cfg, F, t):
+    """P(|p| > p_b, t) = (2/3)(1 - exp(a t)); complements model_inside."""
+    a = decay_rate(cfg, F)
+    out = (2.0 / 3.0) * (1.0 - np.exp(a * np.asarray(t, dtype=float)))
+    return out if out.ndim else float(out)
+
+
+def spec_to_config(spec):
+    """An ExperimentSpec as INI text; load_spec reads it back equal,
+    since str() of a float round-trips."""
+    system = {f.name for f in fields(KickConfig)}
+    lines = []
+    for section in ("system", "run"):
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {value}" for key, value in asdict(spec).items()
+                  if (key in system) == (section == "system")]
+        lines.append("")
+    return "\n".join(lines)
 
 
 def pendulum_oracle(phi, p, w, K, rtol=1e-12, atol=1e-12):

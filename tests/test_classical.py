@@ -160,12 +160,14 @@ def test_cycle_jacobian_determinant_unity():
 
 
 def test_zero_coupling_is_free_rotation():
+    # at p scale 300 the half angle turns through hundreds of radians
     cfg = KickConfig(K=0.0)
-    phi, p = _random_states(64, 2, 5.0)
-    out = kick_cycle(PhasePoint(phi, p), cfg)
-    ref = free_step(PhasePoint(phi, p), 1.0)
-    assert np.max(circular_distance(out.phi, ref.phi)) < 1e-12
-    np.testing.assert_allclose(out.p, ref.p, atol=1e-12)
+    for p_scale in (5.0, 300.0):
+        phi, p = _random_states(64, 2, p_scale)
+        out = kick_cycle(PhasePoint(phi, p), cfg)
+        ref = free_step(PhasePoint(phi, p), 1.0)
+        assert np.max(circular_distance(out.phi, ref.phi)) < 1e-12
+        np.testing.assert_allclose(out.p, ref.p, atol=1e-12)
 
 
 def test_fixed_points():
@@ -256,6 +258,18 @@ def test_outside_fraction_scores_the_drives_cantorus():
     tail = erfc(6.0 * np.pi / (np.sqrt(2.0) * cfg.sigma_p))
     binomial_se = np.sqrt(tail * (1.0 - tail) / n)
     assert abs(res.outside_fraction[0] - tail) < 4.0 * binomial_se
+
+
+def test_propagation_one_kick_is_kick_cycle():
+    # the loop carries (sin, cos)(phi/2) from kick to kick; over one kick
+    # it must be kick_cycle bit for bit, and return phi in [0, 2 pi)
+    cfg = KickConfig(K=280.0)
+    ens = sample_initial(cfg, 3000, seed=8)
+    ref = kick_cycle(PhasePoint(ens.phi, ens.p), cfg)
+    propagate_ensemble(ens, cfg, 1)
+    np.testing.assert_array_equal(ens.phi, ref.phi)
+    np.testing.assert_array_equal(ens.p, ref.p)
+    assert np.all((ens.phi >= 0.0) & (ens.phi < TWO_PI))
 
 
 def test_propagation_deterministic():

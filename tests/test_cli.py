@@ -14,7 +14,8 @@ import pytest
 import dkrotor
 from dkrotor import cli
 from dkrotor.cli import (ExperimentSpec, SpecError, load_spec, load_sweep,
-                         main, run, spec_to_config, sweep, validate)
+                         main, run, sweep, validate)
+from helpers import spec_to_config
 
 
 def _write_config(tmp_path, body, name="exp.ini"):
@@ -40,7 +41,7 @@ out = {out}
 def test_spec_roundtrip_through_ini(tmp_path):
     spec = ExperimentSpec(mode="quantum", K=123.5, alpha=0.12, delta=0.2,
                           kicks=7, ensemble=50, eta=0.02,
-                          decoherence="emission", seed=9, basis_size=64,
+                          decoherence="emission", seed=9, basis_size=128,
                           out="somewhere")
     path = tmp_path / "spec.ini"
     path.write_text(spec_to_config(spec))
@@ -93,6 +94,7 @@ def test_load_spec_rejects_unknown_and_malformed(tmp_path):
     ("system.alpha", {"alpha": 0.2}),
     ("run.decoherence", {"mode": "mc-wavefunction",
                          "decoherence": "anti-zeno"}),
+    ("run.basis_size", {"mode": "quantum", "basis_size": 64}),
 ])
 def test_validate_names_offending_field(field, kwargs):
     with pytest.raises(SpecError) as err:
@@ -224,12 +226,12 @@ def test_run_byte_determinism(tmp_path):
 
 def test_run_quantum_outputs(tmp_path):
     out = tmp_path / "qm"
-    spec = ExperimentSpec(mode="quantum", K=180.0, kicks=6, basis_size=64,
+    spec = ExperimentSpec(mode="quantum", K=180.0, kicks=6, basis_size=128,
                           out=str(out))
     run(spec)
     dist = (out / "momentum_distribution.csv").read_text().splitlines()
     assert dist[0].split(",")[:2] == ["n", "p"]
-    assert len(dist) == 65
+    assert len(dist) == 129
     diag = json.loads((out / "operator_diagnostics.json").read_text())
     assert diag["unitarity_defect"] < 1e-10
     assert 0.0 <= diag["edge_population"] <= 1.0
@@ -237,7 +239,7 @@ def test_run_quantum_outputs(tmp_path):
 
 def test_run_quantum_decohered_outputs(tmp_path):
     out = tmp_path / "qe"
-    spec = ExperimentSpec(mode="quantum", K=280.0, kicks=5, basis_size=64,
+    spec = ExperimentSpec(mode="quantum", K=280.0, kicks=5, basis_size=128,
                           eta=0.05, decoherence="emission", out=str(out))
     run(spec)
     outside = (out / "outside_fraction.csv").read_text().splitlines()
@@ -247,20 +249,20 @@ def test_run_quantum_decohered_outputs(tmp_path):
 
 def test_run_floquet_outputs(tmp_path):
     out = tmp_path / "fl"
-    spec = ExperimentSpec(mode="floquet", K=120.0, basis_size=64,
+    spec = ExperimentSpec(mode="floquet", K=120.0, basis_size=128,
                           out=str(out))
     run(spec)
     quasi = (out / "quasi_energies.csv").read_text().splitlines()
     assert quasi[0] == "state,quasi_energy"
-    assert len(quasi) == 65
+    assert len(quasi) == 129
     vals = [float(line.split(",")[1]) for line in quasi[1:]]
     assert vals == sorted(vals)
     matrix = (out / "asymptotic_matrix.csv").read_text().splitlines()
-    assert len(matrix) == 65
+    assert len(matrix) == 129
     assert (out / "asymptotic_matrix_log10.csv").exists()
     diag = json.loads((out / "floquet_diagnostics.json").read_text())
     assert diag["unitarity_defect"] < 1e-10
-    assert diag["basis_size"] == 64
+    assert diag["basis_size"] == 128
     assert diag["degenerate_clusters"] >= 0
     assert diag["reconstruction_residual"] < 1e-8
     assert diag["near_cut_gaps"] >= 0
@@ -284,6 +286,11 @@ def test_package_exports_its_public_names():
     assert set(dkrotor.__all__) == public | {"__version__"}
     for name in dkrotor.__all__:
         getattr(dkrotor, name)
+    # the model curves and the INI writer serve the tests alone and live
+    # in tests/helpers.py
+    assert not hasattr(dkrotor.diffusion, "model_inside")
+    assert not hasattr(dkrotor.diffusion, "model_outside")
+    assert not hasattr(cli, "spec_to_config")
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -300,11 +307,11 @@ def test_cli_import_leaves_out_scipy_linalg():
 
 def test_run_wigner_outputs(tmp_path):
     out = tmp_path / "wg"
-    spec = ExperimentSpec(mode="wigner", K=80.0, kicks=4, basis_size=64,
+    spec = ExperimentSpec(mode="wigner", K=80.0, kicks=4, basis_size=128,
                           out=str(out))
     run(spec)
     grid = (out / "wigner_coarse.csv").read_text().splitlines()
-    assert len(grid) == 65
+    assert len(grid) == 129
     assert grid[0].startswith("P\\X")
     info = json.loads((out / "strangeness.json").read_text())
     assert info["S"] >= 0.0
@@ -314,7 +321,7 @@ def test_run_wigner_outputs(tmp_path):
 def test_run_mc_outputs(tmp_path):
     out = tmp_path / "mc"
     spec = ExperimentSpec(mode="mc-wavefunction", K=120.0, kicks=4,
-                          basis_size=64, eta=0.05, decoherence="emission",
+                          basis_size=128, eta=0.05, decoherence="emission",
                           realizations=40, seed=3, out=str(out))
     run(spec)
     outside = (out / "outside_fraction.csv").read_text().splitlines()
@@ -409,7 +416,7 @@ hbar = 2.6, 2.0
 [run]
 mode = wigner
 kicks = 4
-basis_size = 64
+basis_size = 128
 """)
     root = tmp_path / "root"
     sweep(load_sweep(path), root)
@@ -509,7 +516,7 @@ def test_main_rejects_bad_config_with_json_error(tmp_path, capsys):
 def test_compare_mode_columns(tmp_path):
     out = tmp_path / "cmp"
     spec = ExperimentSpec(mode="compare", K=280.0, kicks=4, ensemble=400,
-                          basis_size=64, realizations=20, out=str(out))
+                          basis_size=128, realizations=20, out=str(out))
     run(spec)
     lines = (out / "comparison.csv").read_text().splitlines()
     assert lines[0] == "kick,classical,coherent,eta_002,eta_005,anti_zeno"

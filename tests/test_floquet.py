@@ -29,7 +29,7 @@ def test_zero_coupling_spectrum():
     want = np.sort(BASIS.hbar * np.mod(0.5 * BASIS.hbar * n * n, TWO_PI))
     np.testing.assert_allclose(np.sort(dec.quasi_energies), want, atol=1e-8)
     # +-n pairs are exactly degenerate at q = 0
-    assert dec.has_degeneracies
+    assert dec.degenerate_clusters
 
 
 def test_quasi_energy_range_and_orthonormality():
@@ -89,7 +89,7 @@ def test_degenerate_cluster_is_flagged_and_localized():
     V[3, 3], V[3, 9], V[9, 3], V[9, 9] = c, -s, s, c
     U = (V * lam) @ V.conj().T
     dec = decompose(U, hbar=2.6)
-    assert dec.has_degeneracies
+    assert dec.degenerate_clusters
     # cluster entries index eigencolumns (quasi-energy order), so locate
     # the pair through its quasi-energies and member weights
     assert len(dec.degenerate_clusters) == 1
@@ -131,7 +131,7 @@ def test_decompose_matches_schur_oracle(K):
         else:
             # no near-degenerate pairs: the asymptotic matrix does not
             # depend on the solver
-            assert not dec.has_degeneracies and dec.near_cut_gaps == 0
+            assert not dec.degenerate_clusters and dec.near_cut_gaps == 0
             np.testing.assert_allclose(asymptotic_matrix(dec),
                                        asymptotic_matrix(ref), rtol=0,
                                        atol=1e-8)
