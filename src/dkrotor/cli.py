@@ -42,7 +42,6 @@ from .wigner import strangeness, wigner_transform
 MODES = ("classical", "quantum", "floquet", "wigner", "mc-wavefunction",
          "compare")
 DECOHERENCE_CHOICES = ("none", "emission", ANTI_ZENO)
-MATRIX_LOG_FLOOR = 1e-30
 
 
 class SpecError(ValueError):
@@ -360,13 +359,9 @@ def _run_floquet(spec, out, written):
     _write_csv(out / "quasi_energies.csv", ("state", "quasi_energy"),
                zip(order.tolist(), dec.quasi_energies[order].tolist()),
                written)
-    M = asymptotic_matrix(dec)
     header = ["n"] + [f"n0_{n}" for n in basis.indices]
     _write_csv(out / "asymptotic_matrix.csv", header,
-               _table_rows(M, basis.indices), written)
-    logM = np.log10(np.maximum(M, MATRIX_LOG_FLOOR))
-    _write_csv(out / "asymptotic_matrix_log10.csv", header,
-               _table_rows(logM, basis.indices), written)
+               _table_rows(asymptotic_matrix(dec), basis.indices), written)
     _write_json(out / "floquet_diagnostics.json", {
         "K": spec.K, "hbar": spec.hbar, "basis_size": spec.basis_size,
         "unitarity_defect": dec.unitarity_defect,

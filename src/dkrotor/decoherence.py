@@ -38,7 +38,8 @@ from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
 
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000
-DEFAULT_Q_GRID = 64
+# continuous recoil snaps q to multiples of 1/Q_GRID
+Q_GRID = 64
 # realizations per (N x MC_BLOCK) state matrix: 2048 holds the CLI
 # default in one block, and the cap bounds the working set
 MC_BLOCK = 2048
@@ -151,21 +152,17 @@ class OperatorCache:
 
     Rebuilding the tridiagonal eigendecomposition per emission would
     dominate trajectory runs; q is therefore snapped to multiples of
-    1/q_grid and operators built once per occupied grid point.
+    1/Q_GRID and operators built once per occupied grid point.
     """
 
-    def __init__(self, cfg: KickConfig, size: int, hbar: float,
-                 q_grid: int = DEFAULT_Q_GRID):
-        if q_grid < 2:
-            raise ValueError(f"q_grid must be >= 2, got {q_grid}")
+    def __init__(self, cfg: KickConfig, size: int, hbar: float):
         self.cfg = cfg
         self.size = size
         self.hbar = hbar
-        self.q_grid = q_grid
         self._ops: dict[float, PeriodOperator] = {}
 
     def snap(self, q: float) -> float:
-        return (np.round(q * self.q_grid) / self.q_grid + 0.5) % 1.0 - 0.5
+        return (np.round(q * Q_GRID) / Q_GRID + 0.5) % 1.0 - 0.5
 
     def operator(self, q: float) -> PeriodOperator:
         q = self.snap(q)
@@ -186,7 +183,6 @@ class MCResult:
     outside_stderr: np.ndarray
     realizations: int
     seed: int
-    q_grid: int
 
 
 def _wrap_q(q_total):
@@ -241,7 +237,6 @@ def _continuous_kick(Psi, q, q_after, emit, x, shift, cache):
 def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
                         model: EmissionModel, kicks: int, seed: int,
                         realizations: int = DEFAULT_REALIZATIONS,
-                        q_grid: int = DEFAULT_Q_GRID,
                         workers: int = 1) -> MCResult:
     """Trajectory average of the spontaneous-emission dynamics.
 
@@ -256,7 +251,7 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     ladder by +-1 with equal odds; q stays fixed and the average is an
     exact unraveling of run_decohered with the same model.
     "continuous" recoils by u*hbar, u uniform in [-1, 1], at a uniform
-    on-pulse time, with q snapped to the 1/q_grid grid.
+    on-pulse time, with q snapped to the 1/Q_GRID grid.
 
     Realization i draws from its own stream seeded by (seed, i), in this
     order: the starting ladder state; then, each kick while eta > 0, one
@@ -278,7 +273,7 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
 
     continuous = model.recoil_mode == "continuous"
     if continuous:
-        cache = OperatorCache(cfg, basis.size, basis.hbar, q_grid)
+        cache = OperatorCache(cfg, basis.size, basis.hbar)
         basis = MomentumBasis(size=basis.size, hbar=basis.hbar,
                               q=cache.snap(basis.q))
     else:
@@ -343,5 +338,4 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     var = np.maximum(sum_out2 / R - mean_out**2, 0.0)
     stderr = np.sqrt(var / max(R - 1, 1))
     return MCResult(distributions=sum_dist / R, outside_fraction=mean_out,
-                    outside_stderr=stderr, realizations=R, seed=seed,
-                    q_grid=q_grid)
+                    outside_stderr=stderr, realizations=R, seed=seed)

@@ -3,26 +3,29 @@
 Eigenstates of U ("Floquet states") diagonalize the stroboscopic
 dynamics: U |alpha_j> = exp(-i E_j / hbar) |alpha_j> with E_j defined
 modulo 2*pi*hbar.  Averaged over times long against the inverse of every
-quasi-energy gap, the probability of reaching momentum n from n0 loses
-all phase information and becomes
+resolved quasi-energy gap, the probability of reaching momentum n from
+n0 loses the phases between distinct eigenvalues and becomes
 
-    P(n|n0) = sum_j |<n0|alpha_j>|^2 |<n|alpha_j>|^2,
+    P(n|n0) = sum_c |(P_c)[n, n0]|^2,   P_c = sum_{j in c} |alpha_j><alpha_j|,
 
 a doubly stochastic matrix whose structure exposes the transport
-barriers.  An average over a finite horizon T adds interference from
-every pair whose gap is not well above 2*pi/T; on the q = 0 ladder
-parity doublets have gaps at every scale down to roundoff, so there the
-formula is the T -> infinity limit only.  The eigenbasis comes from one
-real symmetric eigensolve: in its time-reversal frame s the period
-operator is complex symmetric, U = s U_s s^-1, and the Cayley transform
-of U_s is a real symmetric matrix with the same eigenvectors (see
-quantum._symmetric_eigh), so the Floquet states are s O with O real
+barriers.  The sum runs over the eigenspaces c of U, with angles closer
+than DEGENERACY_ANGLE counted as one eigenspace; P_c does not depend on
+the basis chosen inside it.  The cut acts as a horizon of about 1e10
+kicks: an average over a finite horizon T adds interference from every
+pair whose gap is not well above 2*pi/T, and on the q = 0 ladder parity
+doublets have gaps at every scale down to roundoff.  The eigenbasis
+comes from one real symmetric eigensolve: in its time-reversal frame s
+the period operator is complex symmetric, U = s U_s s^-1, and the Cayley
+transform of U_s is a real symmetric matrix with the same eigenvectors
+(see quantum._symmetric_eigh), so the Floquet states are s O with O real
 orthogonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -38,14 +41,13 @@ class FloquetDecomposition:
 
     quasi_energies are in [0, 2*pi*hbar); vectors[:, j] is |alpha_j>.
     degenerate_clusters lists index groups whose eigenvalue angles
-    coincide within 1e-10.  decompose rotates each cluster onto
-    momentum-localized vectors; the diagonal asymptotic formula depends
-    on that choice, since it is not invariant under mixing inside a
-    cluster.  near_cut_gaps counts the neighboring angle gaps within a
-    decade of that cut, [1e-11, 1e-9]: the pairs whose grouping, and so
-    the asymptotic formula, hinges on it.  unitarity_defect is
-    max |U+ U - I| of the input and reconstruction_residual the
-    eigensolver's max |U z_j - lambda_j z_j| before the cluster rotation.
+    coincide within 1e-10; inside a cluster the vectors are whatever
+    orthonormal basis the eigensolver returned.  near_cut_gaps counts
+    the neighboring angle gaps within a decade of that cut,
+    [1e-11, 1e-9]: the pairs whose grouping, and so the asymptotic
+    matrix, hinges on it.  unitarity_defect is max |U+ U - I| of the
+    input and reconstruction_residual the eigensolver's
+    max |U z_j - lambda_j z_j|.
     """
 
     quasi_energies: np.ndarray
@@ -107,21 +109,6 @@ def decompose(U, hbar: float | None = None) -> FloquetDecomposition:
     near_cut = np.count_nonzero((gaps >= 0.1 * DEGENERACY_ANGLE)
                                 & (gaps <= 10.0 * DEGENERACY_ANGLE))
 
-    # Within a degenerate cluster the eigenbasis is arbitrary; fix it by
-    # diagonalizing the momentum label there.  Tunneling doublets then
-    # come out momentum-localized instead of as even/odd mixtures.  That
-    # approximates a finite-time average of |U^t|^2 only over horizons T
-    # with splitting * T << 1, where the doublet has not yet dephased;
-    # pairs split by more than 1e-10 keep the solver's basis.  The
-    # rotation is real, and it moves the reconstruction residual by at
-    # most the cut.
-    idx = np.arange(O.shape[0], dtype=float)
-    for cluster in clusters:
-        cols = list(cluster)
-        Oc = O[:, cols]
-        _, R = np.linalg.eigh(Oc.T @ (idx[:, None] * Oc))
-        O[:, cols] = Oc @ R
-
     return FloquetDecomposition(
         quasi_energies=hbar * angles, vectors=s[:, None] * O, hbar=hbar,
         degenerate_clusters=clusters, near_cut_gaps=int(near_cut),
@@ -129,6 +116,17 @@ def decompose(U, hbar: float | None = None) -> FloquetDecomposition:
 
 
 def asymptotic_matrix(dec: FloquetDecomposition) -> np.ndarray:
-    """All-to-all asymptotic mixing matrix; symmetric, doubly stochastic."""
-    A = np.abs(dec.vectors)**2
-    return A @ A.T
+    """All-to-all asymptotic mixing matrix; symmetric, doubly stochastic.
+
+    sum_c |(P_c)[n, n0]|^2 expands into the diagonal terms
+    |Z[n,j]|^2 |Z[n0,j]|^2 plus, for each pair j < k inside a cluster,
+    2 Re B[n] conj(B[n0]) with B = Z[:, j] conj(Z[:, k]); so the matrix is
+    G G^T with G = [|Z|^2, sqrt(2) Re B, sqrt(2) Im B].
+    """
+    Z = dec.vectors
+    j, k = np.array([pair for cluster in dec.degenerate_clusters
+                     for pair in combinations(cluster, 2)],
+                    dtype=int).reshape(-1, 2).T
+    B = np.sqrt(2.0) * Z[:, j] * Z[:, k].conj()
+    G = np.hstack([np.abs(Z)**2, B.real, B.imag])
+    return G @ G.T

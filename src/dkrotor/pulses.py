@@ -59,11 +59,6 @@ class KickConfig:
         if not self.sigma_p > 0.0:
             raise ValueError(f"sigma_p must be > 0, got {self.sigma_p}")
 
-    @property
-    def center(self) -> float:
-        """Symmetry point of the pulse pair within one period."""
-        return self.delta / 2.0 + self.alpha / 4.0
-
 
 def _sinc(x):
     """sin(x)/x with a series branch near zero."""
@@ -76,7 +71,8 @@ def _sinc(x):
 
 
 def fourier_coefficient(cfg: KickConfig, m) -> float:
-    """Cosine coefficient a_m of the drive about its symmetry point.
+    """Cosine coefficient a_m of the drive about its symmetry point
+    t = delta/2 + alpha/4.
 
     Even in m; a_0 equals the duty cycle alpha.
     """

@@ -47,6 +47,11 @@ def circular_distance(a, b):
     return np.abs(d)
 
 
+def symmetry_point(cfg):
+    """Time about which the pulse pair is symmetric within one period."""
+    return cfg.delta / 2.0 + cfg.alpha / 4.0
+
+
 def pulse_value(cfg, t):
     """Drive value (0 or 1) at time t; t is reduced mod the unit period.
 
@@ -69,7 +74,7 @@ def reconstruct_profile(cfg, t, m_max: int):
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     t = np.asarray(t, dtype=float)
-    tau = t - cfg.center
+    tau = t - symmetry_point(cfg)
     m = np.arange(1, m_max + 1)
     coeffs = fourier_coefficient(cfg, m)
     out = (fourier_coefficient(cfg, 0)
@@ -189,17 +194,16 @@ def split_operator_period(psi, cfg, basis, substeps=SPLIT_SUBSTEPS):
 
 
 def horizon_interference(dec, T):
-    """Off-diagonal term R_T of the T-step average of |U^t|^2.
+    """Interference term R_T of the T-step average of |U^t|^2.
 
     With U Z = Z diag(exp(-i theta)), the exact average over t = 1..T is
 
-        sum_j |Z[n,j]|^2 |Z[n0,j]|^2 + R_T[n, n0],
-        R_T = Re sum_{j != k} F_T(theta_j - theta_k)
-                  Z[n,j] Z*[n0,j] Z*[n,k] Z[n0,k],
+        sum_{j, k} F_T(theta_j - theta_k) Z[n,j] Z*[n0,j] Z*[n,k] Z[n0,k]
 
     with the averaging kernel F_T(x) = (1/T) sum_{t=1}^T exp(-i x t).
-    The first term is the infinite-time diagonal formula; R_T is what
-    pairs with a gap below ~2 pi / T still carry at horizon T.
+    The pairs with j = k or inside one degenerate cluster, taken with
+    F_T = 1, make up asymptotic_matrix; R_T is the real part of the rest,
+    what pairs with a gap below ~2 pi / T still carry at horizon T.
     """
     Z = dec.vectors
     theta = dec.quasi_energies / dec.hbar
@@ -209,6 +213,8 @@ def horizon_interference(dec, T):
     den = T * np.sin(0.5 * x)
     ratio = np.divide(num, den, out=np.ones_like(x), where=den != 0.0)
     F = np.exp(-0.5j * (T + 1) * x) * ratio
+    for cluster in dec.degenerate_clusters:
+        F[np.ix_(cluster, cluster)] = 0.0
     np.fill_diagonal(F, 0.0)
     R = np.empty(Z.shape, dtype=float)
     for n0 in range(Z.shape[0]):
@@ -222,8 +228,7 @@ def schur_decomposition(U, hbar, cut=1e-10):
 
     For a normal matrix the Schur basis is an orthonormal eigenbasis.
     Eigenvalue angles whose sorted neighbors lie within `cut` (the circle
-    wrapping) form clusters, and each cluster is rotated onto
-    eigenvectors of the momentum label, as decompose does.
+    wrapping) form clusters.
     """
     T, Z = schur(U, output="complex")
     lam = np.diag(T)
@@ -240,13 +245,6 @@ def schur_decomposition(U, hbar, cut=1e-10):
     if len(groups) > 1 and gaps[-1] <= cut:
         groups[0] = groups.pop() + groups[0]
     clusters = tuple(tuple(int(i) for i in g) for g in groups if len(g) > 1)
-    idx = np.arange(U.shape[0], dtype=float)
-    for cluster in clusters:
-        cols = list(cluster)
-        Zc = Z[:, cols]
-        block = Zc.conj().T @ (idx[:, None] * Zc)
-        _, V = np.linalg.eigh(0.5 * (block + block.conj().T))
-        Z[:, cols] = Zc @ V
     N = U.shape[0]
     return FloquetDecomposition(
         quasi_energies=hbar * angles, vectors=Z, hbar=hbar,
@@ -306,7 +304,7 @@ def _emission_cycle(psi, q, cache, rng):
     return psi, cache.snap(q)
 
 
-def mc_reference(cfg, basis, model, kicks, seed, realizations, q_grid=64):
+def mc_reference(cfg, basis, model, kicks, seed, realizations):
     """Trajectory model one realization and one kick at a time.
 
     Draws and propagates exactly as mc_wavefunction_run documents, with
@@ -316,7 +314,7 @@ def mc_reference(cfg, basis, model, kicks, seed, realizations, q_grid=64):
     """
     eta = model.eta
     if model.recoil_mode == "continuous":
-        cache = OperatorCache(cfg, basis.size, basis.hbar, q_grid)
+        cache = OperatorCache(cfg, basis.size, basis.hbar)
         basis = MomentumBasis(size=basis.size, hbar=basis.hbar,
                               q=cache.snap(basis.q))
 

@@ -200,13 +200,15 @@ def test_criterion_06_quantum_saturation(classical_runs, coherent_runs):
 
 
 def test_criterion_07_floquet_oracle(quantum_ops):
-    # asymptotic_matrix is the T -> infinity formula.  On the q = 0
+    # asymptotic_matrix keeps the pairs inside a degenerate cluster
+    # (gap <= 1e-10) in phase and drops every other pair.  On the q = 0
     # ladder parity doublets carry gaps spread continuously over
-    # 1e-15..1e-4, so at T = 5000 a band of pairs has not dephased and
-    # the brute-force average differs from the formula by exactly the
-    # finite-horizon interference term R_T (max|R_T| = 0.465 / 0.483 at
-    # K = 180 / 280).  The oracle therefore checks the formula plus R_T,
-    # computed from the same eigenpairs (identity measured at ~2e-11).
+    # 1e-15..1e-4, so at T = 5000 a band of pairs above the cut has not
+    # dephased and the brute-force average differs from the formula by
+    # exactly the finite-horizon interference term R_T of those pairs
+    # (max|R_T| = 0.465 / 0.483 at K = 180 / 280).  The oracle therefore
+    # checks the formula plus R_T, computed from the same eigenpairs
+    # (identity measured at ~2e-11).
     clauses = []
     for K in (180.0, 280.0):
         op = quantum_ops[K]

@@ -259,7 +259,7 @@ def test_run_floquet_outputs(tmp_path):
     assert vals == sorted(vals)
     matrix = (out / "asymptotic_matrix.csv").read_text().splitlines()
     assert len(matrix) == 129
-    assert (out / "asymptotic_matrix_log10.csv").exists()
+    assert not (out / "asymptotic_matrix_log10.csv").exists()
     diag = json.loads((out / "floquet_diagnostics.json").read_text())
     assert diag["unitarity_defect"] < 1e-10
     assert diag["basis_size"] == 128

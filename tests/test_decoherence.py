@@ -180,15 +180,13 @@ def test_wrap_q_splits_shift_and_remainder():
 
 
 def test_operator_cache_snaps_and_reuses():
-    cache = OperatorCache(KickConfig(K=100.0), size=64, hbar=2.6, q_grid=64)
+    cache = OperatorCache(KickConfig(K=100.0), size=64, hbar=2.6)
     assert cache.snap(0.13) == pytest.approx(0.125)
     assert cache.snap(0.7) == pytest.approx(-0.296875)
     op1 = cache.operator(0.1251)
     op2 = cache.operator(0.1249)  # same grid point
     assert op1 is op2
     assert op1.basis.q == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        OperatorCache(KickConfig(K=1.0), size=64, hbar=2.6, q_grid=1)
 
 
 def test_mc_zero_rate_matches_density_matrix():
@@ -259,7 +257,6 @@ def test_mc_bookkeeping_and_validation():
     assert mc.outside_stderr.shape == (5,)
     assert mc.realizations == 60
     assert mc.seed == 2
-    assert mc.q_grid == 64
     assert np.all(mc.outside_stderr >= 0.0)
     with pytest.raises(ValueError):
         mc_wavefunction_run(cfg, BASIS, EmissionModel(eta=1.4), kicks=4,

@@ -1,5 +1,7 @@
 """Floquet decomposition and asymptotic momentum transport."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ def test_quasi_energy_range_and_orthonormality():
     assert np.all(dec.quasi_energies < TWO_PI * BASIS.hbar)
     Z = dec.vectors
     assert np.max(np.abs(Z.conj().T @ Z - np.eye(128))) < 1e-10
-    # eigenvalue equation, cluster rotation included
+    # eigenvalue equation for every column, degenerate clusters included
     lam = dec.eigenvalues
     assert np.max(np.abs(op.U @ Z - Z * lam)) < 1e-8
 
@@ -77,30 +79,36 @@ def test_asymptotic_matrix_doubly_stochastic_and_symmetric():
     np.testing.assert_allclose(M, M.T, atol=1e-12)
 
 
-def test_degenerate_cluster_is_flagged_and_localized():
+def test_degenerate_cluster_is_flagged_and_basis_invariant():
     # an exactly degenerate pair mixed at 45 degrees: the decomposition
-    # must flag the cluster and return momentum-localized members, not
-    # whatever arbitrary basis the eigensolver picked
+    # must flag the cluster, and the asymptotic matrix must not depend on
+    # the basis the eigensolver picked inside it.  Every eigenspace of U
+    # is spanned by ladder states, so the matrix is the identity.
     N = 16
     lam = np.exp(1j * np.linspace(0.3, 5.9, N))
     lam[9] = lam[3]
     V = np.eye(N, dtype=complex)
     c, s = np.cos(np.pi / 4.0), np.sin(np.pi / 4.0)
     V[3, 3], V[3, 9], V[9, 3], V[9, 9] = c, -s, s, c
-    U = (V * lam) @ V.conj().T
-    dec = decompose(U, hbar=2.6)
-    assert dec.degenerate_clusters
-    # cluster entries index eigencolumns (quasi-energy order), so locate
-    # the pair through its quasi-energies and member weights
-    assert len(dec.degenerate_clusters) == 1
-    cols = sorted(dec.degenerate_clusters[0])
+    mixed = decompose((V * lam) @ V.conj().T, hbar=2.6)
+    plain = decompose(np.diag(lam), hbar=2.6)
+    # cluster entries index eigencolumns (quasi-energy order)
+    assert len(mixed.degenerate_clusters) == 1
+    cols = list(mixed.degenerate_clusters[0])
     assert len(cols) == 2
-    qe = dec.quasi_energies
+    qe = mixed.quasi_energies
     assert abs(qe[cols[0]] - qe[cols[1]]) < 1e-9
-    weights = np.abs(dec.vectors)**2
-    got = sorted(int(np.argmax(weights[:, j])) for j in cols)
-    assert got == [3, 9]
-    assert min(weights[:, j].max() for j in cols) > 0.999
+    M = asymptotic_matrix(mixed)
+    np.testing.assert_allclose(M, asymptotic_matrix(plain), rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(M, np.eye(N), rtol=0, atol=1e-12)
+    # any other orthonormal basis of the cluster gives the same matrix
+    R, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
+    Z = mixed.vectors.copy()
+    Z[:, cols] = Z[:, cols] @ R
+    rotated = replace(mixed, vectors=Z)
+    np.testing.assert_allclose(asymptotic_matrix(rotated), M, rtol=0,
+                               atol=1e-12)
 
 
 def test_decompose_rejections():
@@ -129,12 +137,11 @@ def test_decompose_matches_schur_oracle(K):
                     == len(ref.degenerate_clusters) > 0)
             assert dec.near_cut_gaps == ref.near_cut_gaps
         else:
-            # no near-degenerate pairs: the asymptotic matrix does not
-            # depend on the solver
             assert not dec.degenerate_clusters and dec.near_cut_gaps == 0
-            np.testing.assert_allclose(asymptotic_matrix(dec),
-                                       asymptotic_matrix(ref), rtol=0,
-                                       atol=1e-8)
+        # the projectors onto the eigenspaces, and so the asymptotic
+        # matrix, do not depend on the basis either solver picks
+        np.testing.assert_allclose(asymptotic_matrix(dec),
+                                   asymptotic_matrix(ref), rtol=0, atol=1e-8)
 
 
 def _symmetric_unitary(phases, seed):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from dkrotor.pulses import KickConfig, barrier, fourier_coefficient
-from helpers import pulse_value, reconstruct_profile
+from helpers import pulse_value, reconstruct_profile, symmetry_point
 
 CFG = KickConfig(K=1.0)
 
@@ -14,7 +14,7 @@ CFG = KickConfig(K=1.0)
 def test_default_geometry():
     assert CFG.alpha == 0.1
     assert CFG.delta == 0.1
-    assert CFG.center == pytest.approx(0.075, abs=1e-15)
+    assert symmetry_point(CFG) == pytest.approx(0.075, abs=1e-15)
 
 
 def test_barrier_harmonics_vanish():
@@ -58,12 +58,13 @@ def test_coefficients_match_quadrature():
     # symmetry point, splitting the integral at the jump discontinuities
     cfg = KickConfig(K=1.0, alpha=0.13, delta=0.31)
     edges = [0.0, cfg.alpha / 2.0, cfg.delta, cfg.delta + cfg.alpha / 2.0]
+    center = symmetry_point(cfg)
     for m in (1, 2, 3, 7, 12):
         cos_m, _ = quad(
-            lambda t: pulse_value(cfg, t) * np.cos(2.0 * np.pi * m * (t - cfg.center)),
+            lambda t: pulse_value(cfg, t) * np.cos(2.0 * np.pi * m * (t - center)),
             0.0, 1.0, points=edges, limit=200, epsabs=1e-13)
         sin_m, _ = quad(
-            lambda t: pulse_value(cfg, t) * np.sin(2.0 * np.pi * m * (t - cfg.center)),
+            lambda t: pulse_value(cfg, t) * np.sin(2.0 * np.pi * m * (t - center)),
             0.0, 1.0, points=edges, limit=200, epsabs=1e-13)
         assert cos_m == pytest.approx(fourier_coefficient(cfg, m), abs=1e-11)
         assert abs(sin_m) < 1e-11  # pair is symmetric about the center
