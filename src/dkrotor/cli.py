@@ -8,8 +8,14 @@ One experiment per INI config file, two sections:
 
 Verbs: ``run`` executes one config, ``sweep`` expands comma-separated
 values into a Cartesian product of runs (failures isolated per run),
-``validate`` checks a config without running.  Every run writes its
-CSV/JSON outputs plus a manifest.json with sha256 checksums; identical
+``validate`` checks a config without running.
+
+Each mode's runner computes and yields its outputs one at a time as
+(file name, payload) pairs; it opens no file.  ``run`` alone puts them
+on disk through ``_write``: a dict payload as JSON, a (header, table,
+formats) payload as CSV by ``np.savetxt`` with an explicit %-conversion
+per column.  ``run`` then records every file with its sha256 checksum in
+manifest.json, or on a failure removes the files it wrote.  Identical
 spec and seed reproduce byte-identical data files.
 """
 
@@ -24,14 +30,14 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .classical import propagate_ensemble, sample_initial
-from .decoherence import (ANTI_ZENO, EmissionModel, mc_wavefunction_run,
-                          run_decohered)
+from .decoherence import (ANTI_ZENO, DEFAULT_REALIZATIONS, EmissionModel,
+                          mc_wavefunction_run, run_decohered)
 from .diffusion import fit_flux
 from .floquet import asymptotic_matrix, decompose
 from .pulses import KickConfig, barrier
@@ -64,22 +70,23 @@ class ExperimentSpec:
     A field that KickConfig also has belongs to the [system] section of
     a config, every other one to [run].  Each field's default fixes its
     type, and the field order is the order of a serialized config and
-    of a sweep's product and run names.
+    of a sweep's product and run names.  A default the library states
+    is read from it.
     """
 
     K: float = 280.0
-    alpha: float = 0.1
-    delta: float = 0.1
-    hbar: float = 2.6
-    sigma_p: float = 3.6 * np.pi
+    alpha: float = KickConfig.alpha
+    delta: float = KickConfig.delta
+    hbar: float = KickConfig.hbar
+    sigma_p: float = KickConfig.sigma_p
     mode: str = "classical"
     kicks: int = 70
     ensemble: int = 100_000
-    realizations: int = 2000
+    realizations: int = DEFAULT_REALIZATIONS
     eta: float = 0.0
     decoherence: str = "none"
     seed: int = 0
-    basis_size: int = 128
+    basis_size: int = MomentumBasis.size
     out: str = "out"
 
     def kick_config(self) -> KickConfig:
@@ -133,8 +140,10 @@ def _coerce(key: str, text: str):
                         f"expected {kind}, got {text!r}") from None
 
 
-def _read_raw(path) -> dict:
-    """INI file -> {key: raw string}, rejecting unknown sections/keys."""
+def _read(path) -> dict:
+    """INI file -> {key: [tokens]} in field order.  Rejects unknown
+    sections and keys, and empty or repeated comma-separated entries: a
+    repeated value would give two sweep runs one name and directory."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
@@ -150,8 +159,13 @@ def _read_raw(path) -> dict:
         for key, value in parser.items(section):
             if _SECTION.get(key) != section:
                 raise SpecError(f"{section}.{key}", "unknown key")
-            raw[key] = value.strip()
-    return raw
+            tokens = [tok.strip() for tok in value.split(",")]
+            if any(not tok for tok in tokens):
+                raise SpecError(_field(key), "empty list entry")
+            if len({_coerce(key, tok) for tok in tokens}) < len(tokens):
+                raise SpecError(_field(key), "repeated list entry")
+            raw[key] = tokens
+    return {key: raw[key] for key in _TYPES if key in raw}
 
 
 def spec_from_values(values: dict) -> ExperimentSpec:
@@ -160,28 +174,17 @@ def spec_from_values(values: dict) -> ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    raw = _read_raw(path)
-    for key, value in raw.items():
-        if "," in value:
+    raw = _read(path)
+    for key, tokens in raw.items():
+        if len(tokens) > 1:
             raise SpecError(_field(key),
                             "list values are only valid in sweep configs")
-    return spec_from_values(raw)
+    return spec_from_values({key: tokens[0] for key, tokens in raw.items()})
 
 
 def load_sweep(path) -> list:
     """Expand comma-separated values into named (name, spec) pairs."""
-    raw = _read_raw(path)
-    lists = {}
-    for key in _TYPES:
-        if key not in raw:
-            continue
-        tokens = [tok.strip() for tok in raw[key].split(",")]
-        if any(not tok for tok in tokens):
-            raise SpecError(_field(key), "empty list entry")
-        # a repeated value would give two runs one name and directory
-        if len({_coerce(key, tok) for tok in tokens}) < len(tokens):
-            raise SpecError(_field(key), "repeated list entry")
-        lists[key] = tokens
+    lists = _read(path)
     varied = [key for key, tokens in lists.items() if len(tokens) > 1]
     pairs = []
     for combo in product(*lists.values()):
@@ -244,79 +247,50 @@ def _dumps(payload) -> str:
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True)
 
 
-def _column_format(value) -> str:
-    """%-conversion that spells a column as _fmt spells its values;
-    %s marks a column whose values go through _fmt itself."""
-    if isinstance(value, (bool, np.bool_, str)):
-        return "%s"
-    if isinstance(value, (int, np.integer)):
-        return "%d"
-    return "%.17g"
+_D, _G = "%d", "%.17g"  # spell values as _fmt does
 
 
-def _write_csv(path: Path, header, rows, written: list) -> None:
-    """Stream rows to path.  Each column takes its %-conversion from its
-    first-row value, %d for integers and %.17g for floats, which spell
-    values as _fmt does; bool and string columns go through _fmt."""
-    rows = iter(rows)
-    first = next(rows, None)
-    with path.open("w") as fh:
-        fh.write(",".join(str(h) for h in header) + "\n")
-        if first is not None:
-            formats = [_column_format(v) for v in first]
-            line = ",".join(formats) + "\n"
-            text = [i for i, f in enumerate(formats) if f == "%s"]
-            for row in chain([first], rows):
-                if text:
-                    row = list(row)
-                    for i in text:
-                        row[i] = _fmt(row[i])
-                fh.write(line % tuple(row))
-    written.append(path)
-
-
-def _table_rows(table, *labels):
-    """Rows [labels[0][i], ..., *table[i]] as Python scalars, made one at
-    a time."""
-    columns = [np.asarray(col).tolist() for col in labels]
-    for *head, row in zip(*columns, table):
-        yield head + row.tolist()
-
-
-def _write_json(path: Path, payload: dict, written: list) -> None:
-    path.write_text(_dumps(payload) + "\n")
-    written.append(path)
-
-
-def _write_outside(path, outside, written, stderr=None, realizations=None):
-    if stderr is None:
-        header = ("kick", "outside_fraction")
-        rows = enumerate(outside.tolist())
+def _write(path: Path, payload) -> None:
+    """Put one output on disk: a dict as JSON, a (header, table, fmt)
+    triple as CSV, fmt being np.savetxt's %-conversion for each column
+    or one for all of them."""
+    if isinstance(payload, dict):
+        path.write_text(_dumps(payload) + "\n")
     else:
-        header = ("kick", "outside_fraction", "stderr", "realizations")
-        rows = ((t, frac, err, realizations) for t, (frac, err)
-                in enumerate(zip(outside.tolist(), stderr.tolist())))
-    _write_csv(path, header, rows, written)
+        header, table, fmt = payload
+        np.savetxt(path, table, fmt=fmt, delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def _kick_header(prefix, kicks):
     return [prefix] + [f"kick_{t}" for t in range(kicks + 1)]
 
 
-def _run_classical(spec, out, written):
+def _outside(outside):
+    return (("kick", "outside_fraction"),
+            np.column_stack([np.arange(len(outside)), outside]), [_D, _G])
+
+
+def _distributions(basis, dists):
+    kicks = len(dists) - 1
+    return (["n"] + _kick_header("p", kicks),
+            np.column_stack([basis.indices, basis.momenta, dists.T]),
+            [_D] + [_G] * (kicks + 2))
+
+
+def _run_classical(spec):
     cfg = spec.kick_config()
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
     result = propagate_ensemble(ensemble, cfg, spec.kicks)
     hist = result.histogram
-    _write_csv(out / "momentum_histogram.csv", _kick_header("p", spec.kicks),
-               _table_rows(hist.counts.T, hist.bin_centers), written)
-    _write_outside(out / "outside_fraction.csv", result.outside_fraction,
-                   written)
+    yield "momentum_histogram.csv", (
+        _kick_header("p", spec.kicks),
+        np.column_stack([hist.bin_centers, hist.counts.T]),
+        [_G] + [_D] * (spec.kicks + 1))
+    yield "outside_fraction.csv", _outside(result.outside_fraction)
     if len(result.outside_fraction) >= 10:
         fit = fit_flux(cfg, result.outside_fraction)
-        _write_json(out / "flux_fit.json",
-                    {**asdict(fit), "K": spec.K}, written)
-    return [spec.seed]
+        yield "flux_fit.json", {**asdict(fit), "K": spec.K}
 
 
 def _channel(spec):
@@ -326,85 +300,77 @@ def _channel(spec):
     return ANTI_ZENO if spec.decoherence == ANTI_ZENO else None
 
 
-def _write_distributions(path, basis, dists, kicks, written):
-    _write_csv(path, ["n"] + _kick_header("p", kicks),
-               _table_rows(dists.T, basis.indices, basis.momenta), written)
-
-
-def _run_quantum(spec, out, written):
+def _evolve(spec):
+    """The period operator and its run_decohered result for spec."""
     cfg = spec.kick_config()
     basis = spec.basis()
     op = build_period_operator(cfg, basis)
-    result = run_decohered(initial_density(cfg, basis), op, _channel(spec),
-                           spec.kicks)
-    _write_distributions(out / "momentum_distribution.csv", basis,
-                         result.distributions, spec.kicks, written)
-    _write_outside(out / "outside_fraction.csv", result.outside_fraction,
-                   written)
-    _write_json(out / "operator_diagnostics.json", {
+    return op, run_decohered(initial_density(cfg, basis), op, _channel(spec),
+                             spec.kicks)
+
+
+def _run_quantum(spec):
+    op, result = _evolve(spec)
+    yield "momentum_distribution.csv", _distributions(op.basis,
+                                                      result.distributions)
+    yield "outside_fraction.csv", _outside(result.outside_fraction)
+    yield "operator_diagnostics.json", {
         "K": spec.K, "hbar": spec.hbar, "basis_size": spec.basis_size,
         "decoherence": spec.decoherence, "eta": spec.eta,
         "unitarity_defect": unitarity_defect(op.U),
         "edge_population": edge_population(result.distributions),
-    }, written)
-    return []
+    }
 
 
-def _run_floquet(spec, out, written):
-    cfg = spec.kick_config()
+def _run_floquet(spec):
     basis = spec.basis()
-    op = build_period_operator(cfg, basis)
-    dec = decompose(op)
+    dec = decompose(build_period_operator(spec.kick_config(), basis))
     order = np.argsort(dec.quasi_energies)
-    _write_csv(out / "quasi_energies.csv", ("state", "quasi_energy"),
-               zip(order.tolist(), dec.quasi_energies[order].tolist()),
-               written)
-    header = ["n"] + [f"n0_{n}" for n in basis.indices]
-    _write_csv(out / "asymptotic_matrix.csv", header,
-               _table_rows(asymptotic_matrix(dec), basis.indices), written)
-    _write_json(out / "floquet_diagnostics.json", {
+    yield "quasi_energies.csv", (
+        ("state", "quasi_energy"),
+        np.column_stack([order, dec.quasi_energies[order]]), [_D, _G])
+    yield "asymptotic_matrix.csv", (
+        ["n"] + [f"n0_{n}" for n in basis.indices],
+        np.column_stack([basis.indices, asymptotic_matrix(dec)]),
+        [_D] + [_G] * basis.size)
+    yield "floquet_diagnostics.json", {
         "K": spec.K, "hbar": spec.hbar, "basis_size": spec.basis_size,
         "unitarity_defect": dec.unitarity_defect,
         "reconstruction_residual": dec.reconstruction_residual,
         "degenerate_clusters": len(dec.degenerate_clusters),
         "near_cut_gaps": dec.near_cut_gaps,
-    }, written)
-    return []
+    }
 
 
-def _run_wigner(spec, out, written):
-    cfg = spec.kick_config()
-    basis = spec.basis()
-    op = build_period_operator(cfg, basis)
-    result = run_decohered(initial_density(cfg, basis), op, _channel(spec),
-                           spec.kicks)
-    grid = wigner_transform(result.final_density, basis)
-    header = ["P\\X"] + [_fmt(x) for x in grid.coarse_positions]
-    _write_csv(out / "wigner_coarse.csv", header,
-               _table_rows(grid.coarse, grid.coarse_momenta), written)
-    _write_json(out / "strangeness.json", {
+def _run_wigner(spec):
+    op, result = _evolve(spec)
+    grid = wigner_transform(result.final_density, op.basis)
+    yield "wigner_coarse.csv", (
+        ["P\\X"] + [_fmt(x) for x in grid.coarse_positions],
+        np.column_stack([grid.coarse_momenta, grid.coarse]), _G)
+    yield "strangeness.json", {
         "K": spec.K, "eta": spec.eta, "kicks": spec.kicks,
         "decoherence": spec.decoherence, "S": strangeness(grid),
         "norm_constant": grid.norm_constant,
-    }, written)
-    return []
+    }
 
 
-def _run_mc(spec, out, written):
-    cfg = spec.kick_config()
+def _run_mc(spec):
     basis = spec.basis()
     model = EmissionModel(eta=spec.eta, recoil_mode="continuous")
-    result = mc_wavefunction_run(cfg, basis, model, spec.kicks, spec.seed,
-                                 realizations=spec.realizations)
-    _write_distributions(out / "momentum_distribution.csv", basis,
-                         result.distributions, spec.kicks, written)
-    _write_outside(out / "outside_fraction.csv", result.outside_fraction,
-                   written, stderr=result.outside_stderr,
-                   realizations=result.realizations)
-    return [spec.seed]
+    result = mc_wavefunction_run(spec.kick_config(), basis, model, spec.kicks,
+                                 spec.seed, realizations=spec.realizations)
+    yield "momentum_distribution.csv", _distributions(basis,
+                                                      result.distributions)
+    kicks = np.arange(spec.kicks + 1)
+    yield "outside_fraction.csv", (
+        ("kick", "outside_fraction", "stderr", "realizations"),
+        np.column_stack([kicks, result.outside_fraction, result.outside_stderr,
+                         np.full(len(kicks), result.realizations)]),
+        [_D, _G, _G, _D])
 
 
-def _run_compare(spec, out, written):
+def _run_compare(spec):
     cfg = spec.kick_config()
     basis = spec.basis()
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
@@ -416,11 +382,11 @@ def _run_compare(spec, out, written):
     curves = [("classical", classical)] + [
         (name, run_decohered(rho0, op, model, spec.kicks).outside_fraction)
         for name, model in channels]
-    header = ["kick"] + [name for name, _ in curves]
-    table = np.column_stack([curve for _, curve in curves])
-    _write_csv(out / "comparison.csv", header,
-               _table_rows(table, range(spec.kicks + 1)), written)
-    return [spec.seed]
+    yield "comparison.csv", (
+        ["kick"] + [name for name, _ in curves],
+        np.column_stack([np.arange(spec.kicks + 1)]
+                        + [curve for _, curve in curves]),
+        [_D] + [_G] * len(curves))
 
 
 _MODE_RUNNERS = {
@@ -431,6 +397,8 @@ _MODE_RUNNERS = {
     "mc-wavefunction": _run_mc,
     "compare": _run_compare,
 }
+# the modes whose outputs depend on spec.seed
+_SEEDED = ("classical", "mc-wavefunction", "compare")
 
 
 def _sha256(path: Path) -> str:
@@ -445,7 +413,10 @@ def run(spec: ExperimentSpec) -> RunManifest:
     written: list = []
     start = time.perf_counter()
     try:
-        seeds = _MODE_RUNNERS[spec.mode](spec, out, written)
+        for name, payload in _MODE_RUNNERS[spec.mode](spec):
+            path = out / name
+            written.append(path)  # first, so a partial file is removed too
+            _write(path, payload)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
@@ -455,9 +426,9 @@ def run(spec: ExperimentSpec) -> RunManifest:
         spec=asdict(spec),
         version=__version__,
         wall_time=time.perf_counter() - start,
-        seeds=seeds,
+        seeds=[spec.seed] if spec.mode in _SEEDED else [],
         files={path.name: _sha256(path) for path in sorted(written)})
-    (out / "manifest.json").write_text(_dumps(asdict(manifest)) + "\n")
+    _write(out / "manifest.json", asdict(manifest))
     return manifest
 
 
@@ -480,27 +451,26 @@ def sweep(pairs, root, workers: int = 1) -> list:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty sweep")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda item: _run_named(item[0], item[1], root), pairs))
-    else:
-        results = [_run_named(name, spec, root) for name, spec in pairs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda item: _run_named(*item, root), pairs))
     _aggregate_sweep(results, root)
     report = {"runs": [{"name": name,
                         "status": "ok" if err is None else "failed",
                         "error": err}
                        for name, _, err in results],
               "failed": sum(1 for _, _, err in results if err is not None)}
-    (root / "sweep_report.json").write_text(_dumps(report) + "\n")
+    _write(root / "sweep_report.json", report)
     return results
 
 
 def _aggregate_sweep(results, root: Path) -> None:
     """Collect per-run scalars into plot-ready tables, one row per run
-    and named by it in the last column."""
+    and named by it in the last column.  The rows hold bool and string
+    values, so _fmt spells every value and the CSV takes them as %s."""
     flux_rows, s_rows = [], []
     for name, manifest, err in results:
         if err is not None:
@@ -516,23 +486,16 @@ def _aggregate_sweep(results, root: Path) -> None:
         if s_path.exists():
             info = json.loads(s_path.read_text())
             s_rows.append((info["K"], info["eta"], info["S"], name))
-    sink: list = []
     if flux_rows:
         flux_rows.sort(key=lambda r: r[0])
-        _write_csv(root / "flux_vs_K.csv", ("K", "F", "a", "valid", "run"),
-                   flux_rows, sink)
+        _write(root / "flux_vs_K.csv", (
+            ("K", "F", "a", "valid", "run"),
+            [[_fmt(v) for v in row] for row in flux_rows], "%s"))
     if s_rows:
         s_rows.sort(key=lambda r: (r[0], r[1]))
-        _write_csv(root / "strangeness.csv", ("K", "eta", "S", "run"), s_rows,
-                   sink)
-
-
-def _apply_overrides(spec, args):
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.out is not None:
-        spec = replace(spec, out=args.out)
-    return spec
+        _write(root / "strangeness.csv", (
+            ("K", "eta", "S", "run"),
+            [[_fmt(v) for v in row] for row in s_rows], "%s"))
 
 
 def main(argv=None) -> int:
@@ -549,24 +512,25 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=1,
                        help="concurrent runs (sweep)")
     args = parser.parse_args(argv)
+    # in a sweep --out names the root; _run_named puts each run under it
+    overrides = {key: value for key, value in
+                 (("seed", args.seed), ("out", args.out)) if value is not None}
 
     try:
         if args.verb == "run":
-            manifest = run(_apply_overrides(load_spec(args.config), args))
+            manifest = run(replace(load_spec(args.config), **overrides))
             print(_dumps(asdict(manifest)))
             return 0
-        pairs = load_sweep(args.config)
-        if args.seed is not None:
-            pairs = [(name, replace(spec, seed=args.seed))
-                     for name, spec in pairs]
+        pairs = [(name, replace(spec, **overrides))
+                 for name, spec in load_sweep(args.config)]
         for _, spec in pairs:
             validate(spec)
         if args.verb == "validate":
             print(_dumps({"valid": True, "specs": [
                 {**asdict(spec), "name": name} for name, spec in pairs]}))
             return 0
-        root = args.out if args.out is not None else "sweep"
-        results = sweep(pairs, root, workers=args.workers)
+        results = sweep(pairs, overrides.get("out", "sweep"),
+                        workers=args.workers)
         failed = [name for name, _, err in results if err is not None]
         print(_dumps({"runs": len(results), "failed": failed}))
         return 1 if failed else 0

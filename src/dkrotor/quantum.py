@@ -48,6 +48,8 @@ RECONSTRUCTION_TOL = 1e-8
 # Cayley shifts phi tried in turn; shift phi puts the pole of the map on
 # the eigenvalue -exp(-i phi)
 CAYLEY_SHIFTS = (0.0, 2.0, 4.0)
+# ladder states, half at each end, whose population flags the hard wall
+EDGE_STATES = 8
 
 
 @dataclass(frozen=True)
@@ -278,8 +280,9 @@ def unitarity_defect(U: np.ndarray) -> float:
     return float(np.max(np.abs(U.conj().T @ U - np.eye(N))))
 
 
-def edge_population(dists: np.ndarray, n_edge: int = 8) -> float:
-    """Largest total probability on the outermost n_edge ladder states."""
-    edge = np.concatenate([dists[:, :n_edge // 2], dists[:, -n_edge // 2:]],
-                          axis=1)
+def edge_population(dists: np.ndarray) -> float:
+    """Largest total probability on the outermost EDGE_STATES ladder
+    states, half at each end."""
+    half = EDGE_STATES // 2
+    edge = np.concatenate([dists[:, :half], dists[:, -half:]], axis=1)
     return float(edge.sum(axis=1).max())

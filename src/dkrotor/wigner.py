@@ -92,10 +92,9 @@ def wigner_transform(rho: np.ndarray, basis: MomentumBasis) -> WignerGrid:
         norm_constant=norm)
 
 
-def strangeness(grid) -> float:
+def strangeness(grid: WignerGrid) -> float:
     """S = sum(|W| - W) over the normalized coarse grid."""
-    W = grid.coarse if isinstance(grid, WignerGrid) else np.asarray(grid)
-    return float(np.sum(np.abs(W) - W))
+    return float(np.sum(np.abs(grid.coarse) - grid.coarse))
 
 
 def gaussian_packet(basis: MomentumBasis, center: int,

@@ -192,6 +192,21 @@ def test_sweep_requires_pairs(tmp_path):
         sweep([], tmp_path / "root")
 
 
+def test_sweep_rejects_workers_below_one(tmp_path, capsys):
+    path = _classical_config(tmp_path, tmp_path / "unused")
+    root = tmp_path / "root"
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        sweep(load_sweep(path), root, workers=0)
+    assert not root.exists()
+    code = main(["sweep", "--config", path, "--out", str(root),
+                 "--workers", "0"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-value"
+    assert "workers" in err["message"]
+    assert not root.exists()
+
+
 def test_run_classical_outputs_and_manifest(tmp_path):
     out = tmp_path / "cls"
     spec = load_spec(_classical_config(tmp_path, out))
@@ -358,10 +373,10 @@ out = unused
 """)
     real_runner = cli._MODE_RUNNERS["classical"]
 
-    def flaky(spec, out, written):
+    def flaky(spec):
         if spec.K == 120.0:
             raise RuntimeError("third rail")
-        return real_runner(spec, out, written)
+        return real_runner(spec)
 
     monkeypatch.setitem(cli._MODE_RUNNERS, "classical", flaky)
     results = sweep(load_sweep(path), root)
@@ -427,29 +442,40 @@ basis_size = 128
 
 
 def test_write_csv_matches_per_value_fmt(tmp_path):
+    # CSV payloads of cli._write: a numeric table takes %d and %.17g per
+    # column, a table with bool or string columns is spelled by _fmt and
+    # written with %s; either way each value reads as _fmt spells it
+    D, G = "%d", "%.17g"
     tables = [
         (("n", "p", "x"),
          [(np.int64(-3), np.float64(0.1), -0.0),
           (np.int64(7), np.float64(np.nan), np.inf),
-          (12, 1.0 / 3.0, -np.inf)]),
+          (12, 1.0 / 3.0, -np.inf)], [D, G, G]),
+        (("k", "v"),
+         [(0, 2.5), (np.int64(2**40), np.float64(1e-300))], [D, G]),
         (("K", "F", "a", "valid"),
          [(280.0, float("nan"), float("nan"), False),
-          (80.0, 1.5e-4, -3.25e-6, np.bool_(True))]),
+          (80.0, 1.5e-4, -3.25e-6, np.bool_(True))], "%s"),
         (("label", "k", "v"),
-         [("a", 0, 2.5), ("b", np.int64(2**40), np.float64(1e-300))]),
-        (("only",), []),
+         [("a", 0, 2.5), ("b", np.int64(2**40), np.float64(1e-300))], "%s"),
+        (("only",), [], [G]),
     ]
-    for i, (header, rows) in enumerate(tables):
+    for i, (header, rows, fmt) in enumerate(tables):
         path = tmp_path / f"t{i}.csv"
-        written = []
-        cli._write_csv(path, header, iter(rows), written)
+        table = (np.array(rows, dtype=float) if fmt != "%s" else
+                 [[cli._fmt(v) for v in row] for row in rows])
+        cli._write(path, (header, table, fmt))
         expected = [",".join(header)] + [",".join(cli._fmt(v) for v in row)
                                          for row in rows]
         assert path.read_text() == "\n".join(expected) + "\n"
-        assert written == [path]
     assert (tmp_path / "t0.csv").read_text().splitlines()[1:] == [
         "-3,0.10000000000000001,-0", "7,nan,inf",
         "12,0.33333333333333331,-inf"]
+    assert (tmp_path / "t1.csv").read_text().splitlines()[1:] == [
+        "0,2.5", "1099511627776,1e-300"]
+    assert (tmp_path / "t2.csv").read_text().splitlines()[1:] == [
+        "280,nan,nan,false",
+        "80,0.00014999999999999999,-3.2499999999999998e-06,true"]
 
 
 def test_main_validate_ok(tmp_path, capsys):
@@ -494,7 +520,7 @@ kicks = 12
 ensemble = 300
 """)
 
-    def flaky(spec, out, written):
+    def flaky(spec):
         raise RuntimeError("no luck")
 
     monkeypatch.setitem(cli._MODE_RUNNERS, "classical", flaky)

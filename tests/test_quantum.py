@@ -223,7 +223,11 @@ def test_edge_population_stays_negligible():
 
 
 def test_edge_population_definition():
+    # 8 edge states: the outer 4 at each end of a 16-state ladder
     dists = np.zeros((3, 16))
     dists[1, 0] = 0.125
-    dists[2, 15] = 0.5
-    assert edge_population(dists, n_edge=2) == 0.5
+    dists[1, 3] = 0.25
+    dists[1, 4] = 1.0
+    dists[2, 12] = 0.5
+    dists[2, 15] = 0.125
+    assert edge_population(dists) == 0.625
