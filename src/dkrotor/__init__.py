@@ -10,7 +10,7 @@ from .classical import (ClassicalEnsemble, MomentumHistogram, PhasePoint,
 from .decoherence import (ANTI_ZENO, EmissionModel, MCResult, OperatorCache,
                           anti_zeno_map, mc_wavefunction_run, run_decohered,
                           spontaneous_emission_map)
-from .diffusion import DiffusionFit, decay_rate, fit_flux, flux_from_rate
+from .diffusion import DiffusionFit, fit_flux, flux_from_rate
 from .floquet import FloquetDecomposition, asymptotic_matrix, decompose
 from .pulses import Barrier, KickConfig, barrier, fourier_coefficient
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
@@ -26,12 +26,11 @@ __all__ = [
     "MCResult", "MomentumBasis", "MomentumHistogram", "OperatorCache",
     "PeriodOperator", "PhasePoint", "PropagationResult", "WidthCalibration",
     "WignerGrid", "anti_zeno_map", "asymptotic_matrix", "barrier",
-    "build_period_operator", "calibrate_packet_width", "decay_rate",
-    "decompose", "edge_population", "evolve_density", "fit_flux",
-    "flux_from_rate", "fourier_coefficient", "free_step", "gaussian_packet",
-    "initial_density", "kick_cycle", "mc_wavefunction_run",
-    "momentum_bin_edges", "pendulum_step", "propagate_ensemble",
-    "run_decohered", "sample_initial",
+    "build_period_operator", "calibrate_packet_width", "decompose",
+    "edge_population", "evolve_density", "fit_flux", "flux_from_rate",
+    "fourier_coefficient", "free_step", "gaussian_packet", "initial_density",
+    "kick_cycle", "mc_wavefunction_run", "momentum_bin_edges",
+    "pendulum_step", "propagate_ensemble", "run_decohered", "sample_initial",
     "spontaneous_emission_map", "strangeness", "two_packet_mixture",
     "two_packet_superposition", "unitarity_defect", "wigner_transform",
 ]

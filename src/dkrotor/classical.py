@@ -55,8 +55,6 @@ class ClassicalEnsemble:
 
     phi: np.ndarray
     p: np.ndarray
-    seed: int | None = None
-    kick_count: int = 0
 
     def __len__(self):
         return self.phi.shape[0]
@@ -219,7 +217,7 @@ def sample_initial(cfg: KickConfig, n: int, seed=None) -> ClassicalEnsemble:
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, TWO_PI, size=n)
     p = rng.normal(0.0, cfg.sigma_p, size=n)
-    return ClassicalEnsemble(phi=phi, p=p, seed=seed, kick_count=0)
+    return ClassicalEnsemble(phi=phi, p=p)
 
 
 def momentum_bin_edges():
@@ -232,7 +230,7 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, cfg: KickConfig,
     fraction beyond the drive's cantorus (pulses.barrier) after every
     kick (row 0 is the initial state).
 
-    The ensemble is updated in place (kick_count advances).
+    The ensemble is updated in place.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
@@ -253,7 +251,6 @@ def propagate_ensemble(ensemble: ClassicalEnsemble, cfg: KickConfig,
         return sh, ch, p
 
     ensemble.phi, ensemble.p = _on_half_angles(ensemble, record)
-    ensemble.kick_count += kicks
     return PropagationResult(
         histogram=MomentumHistogram(bin_edges=edges, counts=counts),
         outside_fraction=outside,

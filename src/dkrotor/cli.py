@@ -45,8 +45,6 @@ from .quantum import (MomentumBasis, build_period_operator, edge_population,
                       initial_density, unitarity_defect)
 from .wigner import strangeness, wigner_transform
 
-MODES = ("classical", "quantum", "floquet", "wigner", "mc-wavefunction",
-         "compare")
 DECOHERENCE_CHOICES = ("none", "emission", ANTI_ZENO)
 
 
@@ -202,8 +200,9 @@ def validate(spec: ExperimentSpec) -> None:
     begins with the parameter it rejects.  A mode with a momentum ladder
     needs it to reach the torus at 3 p_b.
     """
-    if spec.mode not in MODES:
-        raise SpecError("run.mode", f"must be one of {', '.join(MODES)}")
+    if spec.mode not in _MODE_RUNNERS:
+        raise SpecError("run.mode",
+                        f"must be one of {', '.join(_MODE_RUNNERS)}")
     try:
         torus = 3.0 * barrier(spec.kick_config()).cantorus
         spec.basis()
@@ -238,8 +237,6 @@ def _json_safe(value):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return _json_safe(value.item())
     return value
 
 
@@ -509,8 +506,9 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override [run] seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="concurrent runs (sweep)")
+        if verb == "sweep":
+            p.add_argument("--workers", type=int, default=1,
+                           help="concurrent runs")
     args = parser.parse_args(argv)
     # in a sweep --out names the root; _run_named puts each run under it
     overrides = {key: value for key, value in

@@ -182,7 +182,6 @@ class MCResult:
     outside_fraction: np.ndarray
     outside_stderr: np.ndarray
     realizations: int
-    seed: int
 
 
 def _wrap_q(q_total):
@@ -221,14 +220,14 @@ def _continuous_kick(Psi, q, q_after, emit, x, shift, cache):
     w = np.where(late, x[cols] - cfg.alpha, x[cols])
     E = Psi[:, cols]
     for op, g in _q_groups(q[cols], cache):
-        E[:, g[late[g]]] *= op.free_phases(-tail)[:, None]
+        E[:, g[late[g]]] *= op.basis.free_phases(-tail)[:, None]
         E[:, g] = op.apply_pulse(E[:, g], w[g])
     # column j rolled by shift[j], as np.roll
     rows = np.arange(E.shape[0])[:, None] - shift[cols]
     E = E[rows % E.shape[0], np.arange(cols.size)]
     for op, g in _q_groups(q_after[cols], cache):
         Y = op.apply_pulse(E[:, g], -w[g])
-        Y[:, late[g]] *= op.free_phases(tail)[:, None]
+        Y[:, late[g]] *= op.basis.free_phases(tail)[:, None]
         Y[:, ~late[g]] = np.dot(op.U, Y[:, ~late[g]])
         E[:, g] = Y
     Psi[:, cols] = E
@@ -244,7 +243,7 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     Gaussian weights and evolves as a pure state, interrupted by at most
     one emission per cycle.  Averaged |amplitude|^2 is reported on the
     ladder indices together with the outside fraction and its standard
-    error across realizations.
+    error across realizations, of which there must be at least 2.
 
     model.recoil_mode selects the emission.  "discretized" applies U on
     the ladder of `basis` and then, with probability eta, shifts the
@@ -266,8 +265,8 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     """
     if not isinstance(model, EmissionModel):
         raise TypeError(f"model must be an EmissionModel, got {model!r}")
-    if realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
+    if realizations < 2:
+        raise ValueError(f"realizations must be >= 2, got {realizations}")
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
 
@@ -313,7 +312,7 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
                 pos += 1 + emit * (1 + continuous)
             if t and continuous:
                 # scaled as Generator.uniform(0, alpha) and (-1, 1) scale them
-                shift, q_new = _wrap_q(cache.snap(q) + (-1.0 + 2.0 * u))
+                shift, q_new = _wrap_q(q + (-1.0 + 2.0 * u))
                 q_after = np.where(emit, cache.snap(q_new), q)
                 _continuous_kick(Psi, q, q_after, emit, x * cfg.alpha,
                                  shift, cache)
@@ -336,6 +335,6 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     R = realizations
     mean_out = sum_out / R
     var = np.maximum(sum_out2 / R - mean_out**2, 0.0)
-    stderr = np.sqrt(var / max(R - 1, 1))
+    stderr = np.sqrt(var / (R - 1))
     return MCResult(distributions=sum_dist / R, outside_fraction=mean_out,
-                    outside_stderr=stderr, realizations=R, seed=seed)
+                    outside_stderr=stderr, realizations=R)

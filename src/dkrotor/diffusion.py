@@ -39,8 +39,7 @@ class DiffusionFit:
     of the log series from the fitted line.  n_dropped counts points
     discarded because the series fluctuated past 2/3; rejected flags
     fits with too few usable points; valid flags -0.5 < a < 0, outside of
-    which the small-flux model does not apply (a >= 0 means F <= 0,
-    which decay_rate and so the model curves reject).
+    which the small-flux model does not apply (a >= 0 means F <= 0).
     """
 
     F: float
@@ -51,14 +50,6 @@ class DiffusionFit:
     n_used: int
     rejected: bool
     valid: bool
-
-
-def decay_rate(cfg: KickConfig, F: float) -> float:
-    """Per-kick decay rate a = ln(1 - 3F/A); negative for F > 0."""
-    x = 3.0 * F / barrier(cfg).region_area
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"F must satisfy 0 <= 3F/A < 1, got F={F}")
-    return float(np.log1p(-x))
 
 
 def flux_from_rate(cfg: KickConfig, a: float) -> float:

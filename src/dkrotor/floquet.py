@@ -58,10 +58,6 @@ class FloquetDecomposition:
     unitarity_defect: float
     reconstruction_residual: float
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(-1j * self.quasi_energies / self.hbar)
-
 
 def _circular_gaps(angles: np.ndarray):
     """Sort order of angles (mod 2*pi) and the gap after each sorted

@@ -60,16 +60,6 @@ class KickConfig:
             raise ValueError(f"sigma_p must be > 0, got {self.sigma_p}")
 
 
-def _sinc(x):
-    """sin(x)/x with a series branch near zero."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    # avoid 0/0 in the vectorized quotient; the series overwrites it
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
-    return out if out.ndim else float(out)
-
-
 def fourier_coefficient(cfg: KickConfig, m) -> float:
     """Cosine coefficient a_m of the drive about its symmetry point
     t = delta/2 + alpha/4.
@@ -78,7 +68,8 @@ def fourier_coefficient(cfg: KickConfig, m) -> float:
     """
     m = np.asarray(m)
     a, d = cfg.alpha, cfg.delta
-    out = a * _sinc(m * np.pi * a / 2.0) * np.cos(m * np.pi * d)
+    # np.sinc(x) is sin(pi x) / (pi x)
+    out = a * np.sinc(m * a / 2.0) * np.cos(m * np.pi * d)
     return out if out.ndim else float(out)
 
 

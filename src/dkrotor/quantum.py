@@ -76,6 +76,11 @@ class MomentumBasis:
     def momenta(self) -> np.ndarray:
         return (self.indices + self.q) * self.hbar
 
+    def free_phases(self, w: float) -> np.ndarray:
+        """Diagonal of F(w): exp(-i (n+q)^2 hbar w / 2)."""
+        nq = self.indices + self.q
+        return np.exp(-0.5j * self.hbar * w * nq * nq)
+
 
 @dataclass
 class PeriodOperator:
@@ -92,17 +97,6 @@ class PeriodOperator:
     config: KickConfig
     pulse_energies: np.ndarray = field(repr=False)
     pulse_vectors: np.ndarray = field(repr=False)
-
-    def free_phases(self, w: float) -> np.ndarray:
-        """Diagonal of F(w): exp(-i (n+q)^2 hbar w / 2)."""
-        nq = self.basis.indices + self.basis.q
-        return np.exp(-0.5j * self.basis.hbar * w * nq * nq)
-
-    def pulse_propagator(self, w: float) -> np.ndarray:
-        """P(w) = exp(-i H_pulse w / hbar) as a dense matrix."""
-        V, lam = self.pulse_vectors, self.pulse_energies
-        phases = np.exp(-1j * lam * w / self.basis.hbar)
-        return (V * phases) @ V.T
 
     def apply_pulse(self, psi: np.ndarray,
                     w: float | np.ndarray) -> np.ndarray:
@@ -126,7 +120,7 @@ def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _time_reversal_frame(op: PeriodOperator) -> np.ndarray:
     """Diagonal s = F_tail^(1/2), in which s^-1 U s is complex symmetric."""
     cfg = op.config
-    return op.free_phases(0.5 * (1.0 - cfg.delta - 0.5 * cfg.alpha))
+    return op.basis.free_phases(0.5 * (1.0 - cfg.delta - 0.5 * cfg.alpha))
 
 
 def _symmetric_eigh(U) -> tuple:
@@ -208,14 +202,13 @@ def build_period_operator(cfg: KickConfig, basis: MomentumBasis) -> PeriodOperat
     else:
         lam, V = eigh_tridiagonal(diag, off)
 
-    op = PeriodOperator(U=np.empty(0), basis=basis, config=cfg,
-                        pulse_energies=lam, pulse_vectors=V)
     half = cfg.alpha / 2.0
-    P = op.pulse_propagator(half)
-    f_gap = op.free_phases(cfg.delta - half)
-    f_tail = op.free_phases(1.0 - cfg.delta - half)
-    op.U = f_tail[:, None] * (P @ (f_gap[:, None] * P))
-    return op
+    P = (V * np.exp(-1j * lam * half / basis.hbar)) @ V.T
+    f_gap = basis.free_phases(cfg.delta - half)
+    f_tail = basis.free_phases(1.0 - cfg.delta - half)
+    return PeriodOperator(U=f_tail[:, None] * (P @ (f_gap[:, None] * P)),
+                          basis=basis, config=cfg, pulse_energies=lam,
+                          pulse_vectors=V)
 
 
 def _evolution_result(dists: np.ndarray, op: PeriodOperator,

@@ -32,6 +32,8 @@ DEFAULT_PACKET_WIDTH = 2.0
 PACKET_OFFSET = 16
 TARGET_S_MIXED = 0.1765
 TARGET_S_SUPERPOSED = 0.7647
+# packet widths scanned by calibrate_packet_width
+WIDTH_BOUNDS = (0.8, 12.0)
 
 
 @dataclass
@@ -112,21 +114,20 @@ def gaussian_packet(basis: MomentumBasis, center: int,
     return (amp / np.linalg.norm(amp)).astype(complex)
 
 
-def two_packet_mixture(basis: MomentumBasis, width: float = DEFAULT_PACKET_WIDTH,
-                       offset: int = PACKET_OFFSET) -> np.ndarray:
-    """Equal-weight incoherent mixture of packets at ladder sites +-offset."""
-    up = gaussian_packet(basis, offset, width)
-    down = gaussian_packet(basis, -offset, width)
+def two_packet_mixture(basis: MomentumBasis,
+                       width: float = DEFAULT_PACKET_WIDTH) -> np.ndarray:
+    """Equal-weight incoherent mixture of packets at +-PACKET_OFFSET."""
+    up = gaussian_packet(basis, PACKET_OFFSET, width)
+    down = gaussian_packet(basis, -PACKET_OFFSET, width)
     return 0.5 * (np.outer(up, up.conj()) + np.outer(down, down.conj()))
 
 
 def two_packet_superposition(basis: MomentumBasis,
                              width: float = DEFAULT_PACKET_WIDTH,
-                             offset: int = PACKET_OFFSET,
                              phase: float = 0.0) -> np.ndarray:
     """Equal-weight coherent superposition of the same two packets."""
-    up = gaussian_packet(basis, offset, width)
-    down = gaussian_packet(basis, -offset, width)
+    up = gaussian_packet(basis, PACKET_OFFSET, width)
+    down = gaussian_packet(basis, -PACKET_OFFSET, width)
     psi = up + np.exp(1j * phase) * down
     psi /= np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
@@ -140,8 +141,6 @@ class WidthCalibration:
     S_mixed: float
     S_superposed: float
     ratio: float
-    target_mixed: float
-    target_superposed: float
 
 
 def _two_packet_S(basis, width):
@@ -151,11 +150,10 @@ def _two_packet_S(basis, width):
     return Sm, Ss
 
 
-def calibrate_packet_width(basis: MomentumBasis,
-                           targets=(TARGET_S_MIXED, TARGET_S_SUPERPOSED),
-                           bounds=(0.8, 12.0)) -> WidthCalibration:
+def calibrate_packet_width(basis: MomentumBasis) -> WidthCalibration:
     """Pick the packet width whose (S_mixed, S_superposed) pair comes
-    closest to the published targets, minimizing the worse of the two
+    closest to the published targets TARGET_S_MIXED and
+    TARGET_S_SUPERPOSED over WIDTH_BOUNDS, minimizing the worse of the two
     relative errors.  The width is the only free parameter.  Where the
     two errors move in opposite directions with width, the minimax
     optimum sits where they are equal, and then S_superposed / S_mixed
@@ -166,13 +164,12 @@ def calibrate_packet_width(basis: MomentumBasis,
     # package's import time to every CLI run, and only this calls it
     from scipy.optimize import minimize_scalar
 
-    tm, ts = targets
-
     def objective(w):
         Sm, Ss = _two_packet_S(basis, w)
-        return max(abs(Sm / tm - 1.0), abs(Ss / ts - 1.0))
+        return max(abs(Sm / TARGET_S_MIXED - 1.0),
+                   abs(Ss / TARGET_S_SUPERPOSED - 1.0))
 
-    grid = np.linspace(bounds[0], bounds[1], 57)
+    grid = np.linspace(*WIDTH_BOUNDS, 57)
     values = [objective(w) for w in grid]
     i = int(np.argmin(values))
     lo = grid[max(i - 1, 0)]
@@ -182,5 +179,4 @@ def calibrate_packet_width(basis: MomentumBasis,
     width = float(res.x)
     Sm, Ss = _two_packet_S(basis, width)
     return WidthCalibration(width=width, S_mixed=Sm, S_superposed=Ss,
-                            ratio=Ss / Sm, target_mixed=tm,
-                            target_superposed=ts)
+                            ratio=Ss / Sm)

@@ -13,8 +13,8 @@ wavefunction model one realization and one kick at a time.  Keep them
 dumb and slow; their only job is to disagree loudly when the fast
 implementations drift.
 
-The three-region model curves and the INI writer for an ExperimentSpec
-are used by the tests alone.
+The three-region decay rate and model curves and the INI writer for an
+ExperimentSpec are used by the tests alone.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import schur
 
 from dkrotor.decoherence import EmissionModel, OperatorCache, run_decohered
-from dkrotor.diffusion import decay_rate
 from dkrotor.floquet import FloquetDecomposition
-from dkrotor.pulses import KickConfig, fourier_coefficient
+from dkrotor.pulses import KickConfig, barrier, fourier_coefficient
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
                              initial_density)
 from dkrotor.wigner import strangeness, wigner_transform
@@ -81,6 +80,14 @@ def reconstruct_profile(cfg, t, m_max: int):
            + 2.0 * np.sum(coeffs * np.cos(TWO_PI * np.outer(tau, m)), axis=-1))
     # np.outer flattens, so scalar t arrives here as a 1-element row
     return out.reshape(t.shape) if t.ndim else float(out[0])
+
+
+def decay_rate(cfg, F):
+    """Per-kick decay rate a = ln(1 - 3F/A); negative for F > 0."""
+    x = 3.0 * F / barrier(cfg).region_area
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"F must satisfy 0 <= 3F/A < 1, got F={F}")
+    return float(np.log1p(-x))
 
 
 def model_inside(cfg, F, t):
@@ -290,17 +297,17 @@ def _emission_cycle(psi, q, cache, rng):
         psi = np.roll(psi, shift)
         op = cache.operator(q)
         psi = op.apply_pulse(psi, half - offset)
-        psi = op.free_phases(cfg.delta - half) * psi
+        psi = op.basis.free_phases(cfg.delta - half) * psi
         psi = op.apply_pulse(psi, half)
     else:
         psi = op.apply_pulse(psi, half)
-        psi = op.free_phases(cfg.delta - half) * psi
+        psi = op.basis.free_phases(cfg.delta - half) * psi
         psi = op.apply_pulse(psi, offset)
         shift, q = _wrap_q(cache.snap(q) + u)
         psi = np.roll(psi, shift)
         op = cache.operator(q)
         psi = op.apply_pulse(psi, half - offset)
-    psi = op.free_phases(1.0 - cfg.delta - half) * psi
+    psi = op.basis.free_phases(1.0 - cfg.delta - half) * psi
     return psi, cache.snap(q)
 
 

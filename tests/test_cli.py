@@ -1,5 +1,6 @@
 """Config parsing, experiment pipelines, manifests, sweeps."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -207,6 +208,19 @@ def test_sweep_rejects_workers_below_one(tmp_path, capsys):
     assert not root.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_only_sweep_takes_workers(tmp_path, capsys, verb):
+    # a single run has nothing to run concurrently; argparse rejects the
+    # flag before any output is written
+    out = tmp_path / "unused"
+    path = _classical_config(tmp_path, out)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", path, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_classical_outputs_and_manifest(tmp_path):
     out = tmp_path / "cls"
     spec = load_spec(_classical_config(tmp_path, out))
@@ -301,11 +315,30 @@ def test_package_exports_its_public_names():
     assert set(dkrotor.__all__) == public | {"__version__"}
     for name in dkrotor.__all__:
         getattr(dkrotor, name)
-    # the model curves and the INI writer serve the tests alone and live
-    # in tests/helpers.py
+    # the decay rate, the model curves and the INI writer serve the tests
+    # alone and live in tests/helpers.py
     assert not hasattr(dkrotor.diffusion, "model_inside")
     assert not hasattr(dkrotor.diffusion, "model_outside")
+    assert not hasattr(dkrotor.diffusion, "decay_rate")
     assert not hasattr(cli, "spec_to_config")
+    # keywords no caller set are module constants
+    for fn, keyword in ((dkrotor.calibrate_packet_width, "targets"),
+                        (dkrotor.calibrate_packet_width, "bounds"),
+                        (dkrotor.two_packet_mixture, "offset"),
+                        (dkrotor.two_packet_superposition, "offset")):
+        assert keyword not in inspect.signature(fn).parameters
+    # fields and methods only the tests read; the free phases belong to
+    # the ladder, and the period operator is built in one step
+    for owner, name in ((dkrotor.PeriodOperator, "free_phases"),
+                        (dkrotor.PeriodOperator, "pulse_propagator"),
+                        (dkrotor.FloquetDecomposition, "eigenvalues"),
+                        (cli, "MODES")):
+        assert not hasattr(owner, name), name
+    for cls, names in ((dkrotor.ClassicalEnsemble, {"seed", "kick_count"}),
+                       (dkrotor.MCResult, {"seed"}),
+                       (dkrotor.WidthCalibration,
+                        {"target_mixed", "target_superposed"})):
+        assert not names & {f.name for f in dataclasses.fields(cls)}
 
 
 def test_cli_import_leaves_out_scipy_optimize():

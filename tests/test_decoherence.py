@@ -256,7 +256,6 @@ def test_mc_bookkeeping_and_validation():
     assert mc.outside_fraction.shape == (5,)
     assert mc.outside_stderr.shape == (5,)
     assert mc.realizations == 60
-    assert mc.seed == 2
     assert np.all(mc.outside_stderr >= 0.0)
     with pytest.raises(ValueError):
         mc_wavefunction_run(cfg, BASIS, EmissionModel(eta=1.4), kicks=4,
@@ -267,6 +266,10 @@ def test_mc_bookkeeping_and_validation():
     with pytest.raises(ValueError):
         mc_wavefunction_run(cfg, BASIS, _continuous(0.1), kicks=4, seed=2,
                             realizations=0)
+    # one realization has no sample spread to report a standard error from
+    with pytest.raises(ValueError, match="realizations must be >= 2"):
+        mc_wavefunction_run(cfg, BASIS, EmissionModel(eta=0.1), kicks=4,
+                            seed=2, realizations=1)
     with pytest.raises(ValueError):
         mc_wavefunction_run(cfg, BASIS, _continuous(0.1), kicks=0, seed=2,
                             realizations=10)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dkrotor.diffusion import decay_rate, fit_flux, flux_from_rate
+from dkrotor.diffusion import fit_flux, flux_from_rate
 from dkrotor.pulses import KickConfig
-from helpers import model_inside, model_outside
+from helpers import decay_rate, model_inside, model_outside
 
 CFG = KickConfig(K=0.0)
 # region area of the default drive, |p| < 10 pi over 2 pi of angle

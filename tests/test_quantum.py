@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dkrotor.pulses import KickConfig
 from dkrotor.quantum import (MomentumBasis, _time_reversal_frame,
@@ -40,7 +41,8 @@ def test_zero_coupling_period_is_free():
     op = build_period_operator(KickConfig(K=0.0), basis)
     offdiag = op.U - np.diag(np.diag(op.U))
     assert np.max(np.abs(offdiag)) < 1e-14
-    np.testing.assert_allclose(np.diag(op.U), op.free_phases(1.0), atol=1e-12)
+    np.testing.assert_allclose(np.diag(op.U), basis.free_phases(1.0),
+                               atol=1e-12)
 
 
 def test_small_coupling_continuity():
@@ -109,13 +111,18 @@ def test_parity_symmetry_on_interior_block():
 
 
 def test_apply_pulse_matches_dense_propagator():
-    op = build_period_operator(KickConfig(K=180.0), BASIS)
+    K = 180.0
+    op = build_period_operator(KickConfig(K=K), BASIS)
     rng = np.random.default_rng(4)
     psi = rng.normal(size=128) + 1j * rng.normal(size=128)
     psi /= np.linalg.norm(psi)
     w = 0.031
-    np.testing.assert_allclose(op.apply_pulse(psi, w),
-                               op.pulse_propagator(w) @ psi, atol=1e-12)
+    # P(w) = exp(-i H w / hbar), H = p^2/2 - K cos(phi) on the ladder
+    H = (np.diag(0.5 * BASIS.momenta**2)
+         + np.diag(np.full(127, -0.5 * K), 1)
+         + np.diag(np.full(127, -0.5 * K), -1))
+    P = expm(-1j * H * w / BASIS.hbar)
+    np.testing.assert_allclose(op.apply_pulse(psi, w), P @ psi, atol=1e-12)
     assert np.linalg.norm(op.apply_pulse(psi, w)) == pytest.approx(1.0,
                                                                    abs=1e-12)
 

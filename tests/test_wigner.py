@@ -5,7 +5,8 @@ import pytest
 
 from dkrotor.pulses import KickConfig
 from dkrotor.quantum import MomentumBasis, initial_density
-from dkrotor.wigner import (WidthCalibration, calibrate_packet_width,
+from dkrotor.wigner import (TARGET_S_MIXED, TARGET_S_SUPERPOSED,
+                            WidthCalibration, calibrate_packet_width,
                             gaussian_packet, strangeness, two_packet_mixture,
                             two_packet_superposition, wigner_transform)
 from helpers import strangeness_sweep
@@ -162,7 +163,7 @@ def test_width_calibration_regression():
     assert cal.S_mixed == pytest.approx(0.156770, abs=1e-3)
     assert cal.S_superposed == pytest.approx(0.679220, abs=1e-3)
     assert cal.ratio == pytest.approx(4.332590, rel=1e-3)
-    target_ratio = cal.target_superposed / cal.target_mixed
+    target_ratio = TARGET_S_SUPERPOSED / TARGET_S_MIXED
     assert target_ratio == pytest.approx(0.7647 / 0.1765, rel=1e-12)
     assert cal.ratio == pytest.approx(target_ratio, rel=1e-4)
 
