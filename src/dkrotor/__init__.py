@@ -14,8 +14,8 @@ from .diffusion import DiffusionFit, fit_flux, flux_from_rate
 from .floquet import FloquetDecomposition, asymptotic_matrix, decompose
 from .pulses import Barrier, KickConfig, barrier, fourier_coefficient
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
-                      build_period_operator, edge_population, evolve_density,
-                      initial_density, unitarity_defect)
+                      build_period_operator, density_after, edge_population,
+                      evolve_density, initial_density, unitarity_defect)
 from .wigner import (WidthCalibration, WignerGrid, calibrate_packet_width,
                      gaussian_packet, strangeness, two_packet_mixture,
                      two_packet_superposition, wigner_transform)
@@ -27,10 +27,11 @@ __all__ = [
     "PeriodOperator", "PhasePoint", "PropagationResult", "WidthCalibration",
     "WignerGrid", "anti_zeno_map", "asymptotic_matrix", "barrier",
     "build_period_operator", "calibrate_packet_width", "decompose",
-    "edge_population", "evolve_density", "fit_flux", "flux_from_rate",
-    "fourier_coefficient", "free_step", "gaussian_packet", "initial_density",
-    "kick_cycle", "mc_wavefunction_run", "momentum_bin_edges",
-    "pendulum_step", "propagate_ensemble", "run_decohered", "sample_initial",
-    "spontaneous_emission_map", "strangeness", "two_packet_mixture",
-    "two_packet_superposition", "unitarity_defect", "wigner_transform",
+    "density_after", "edge_population", "evolve_density", "fit_flux",
+    "flux_from_rate", "fourier_coefficient", "free_step", "gaussian_packet",
+    "initial_density", "kick_cycle", "mc_wavefunction_run",
+    "momentum_bin_edges", "pendulum_step", "propagate_ensemble",
+    "run_decohered", "sample_initial", "spontaneous_emission_map",
+    "strangeness", "two_packet_mixture", "two_packet_superposition",
+    "unitarity_defect", "wigner_transform",
 ]

@@ -41,7 +41,8 @@ from .decoherence import (ANTI_ZENO, DEFAULT_REALIZATIONS, EmissionModel,
 from .diffusion import fit_flux
 from .floquet import asymptotic_matrix, decompose
 from .pulses import KickConfig, barrier
-from .quantum import (MomentumBasis, build_period_operator, edge_population,
+from .quantum import (EDGE_POPULATION_MAX, MomentumBasis,
+                      build_period_operator, density_after, edge_population,
                       initial_density, unitarity_defect)
 from .wigner import strangeness, wigner_transform
 
@@ -297,25 +298,20 @@ def _channel(spec):
     return ANTI_ZENO if spec.decoherence == ANTI_ZENO else None
 
 
-def _evolve(spec):
-    """The period operator and its run_decohered result for spec."""
-    cfg = spec.kick_config()
-    basis = spec.basis()
-    op = build_period_operator(cfg, basis)
-    return op, run_decohered(initial_density(cfg, basis), op, _channel(spec),
-                             spec.kicks)
-
-
 def _run_quantum(spec):
-    op, result = _evolve(spec)
+    op = build_period_operator(spec.kick_config(), spec.basis())
+    result = run_decohered(initial_density(op.config, op.basis), op,
+                           _channel(spec), spec.kicks)
     yield "momentum_distribution.csv", _distributions(op.basis,
                                                       result.distributions)
     yield "outside_fraction.csv", _outside(result.outside_fraction)
+    edge = edge_population(result.distributions)
     yield "operator_diagnostics.json", {
         "K": spec.K, "hbar": spec.hbar, "basis_size": spec.basis_size,
         "decoherence": spec.decoherence, "eta": spec.eta,
         "unitarity_defect": unitarity_defect(op.U),
-        "edge_population": edge_population(result.distributions),
+        "edge_population": edge,
+        "edge_population_flagged": edge > EDGE_POPULATION_MAX,
     }
 
 
@@ -340,8 +336,16 @@ def _run_floquet(spec):
 
 
 def _run_wigner(spec):
-    op, result = _evolve(spec)
-    grid = wigner_transform(result.final_density, op.basis)
+    op = build_period_operator(spec.kick_config(), spec.basis())
+    rho = initial_density(op.config, op.basis)
+    model = _channel(spec)
+    # only the final state is read, so coherent runs skip the kicks
+    # between; rebinding rho frees the initial state before the transform
+    if model is None:
+        rho = density_after(rho, op, spec.kicks)
+    else:
+        rho = run_decohered(rho, op, model, spec.kicks).final_density
+    grid = wigner_transform(rho, op.basis)
     yield "wigner_coarse.csv", (
         ["P\\X"] + [_fmt(x) for x in grid.coarse_positions],
         np.column_stack([grid.coarse_momenta, grid.coarse]), _G)

@@ -152,7 +152,8 @@ class OperatorCache:
 
     Rebuilding the tridiagonal eigendecomposition per emission would
     dominate trajectory runs; q is therefore snapped to multiples of
-    1/Q_GRID and operators built once per occupied grid point.
+    1/Q_GRID and operators built once per occupied grid point, each with
+    the free tail phases that an emission inside the second pulse needs.
     """
 
     def __init__(self, cfg: KickConfig, size: int, hbar: float):
@@ -160,6 +161,7 @@ class OperatorCache:
         self.size = size
         self.hbar = hbar
         self._ops: dict[float, PeriodOperator] = {}
+        self._tails: dict[float, tuple] = {}
 
     def snap(self, q: float) -> float:
         return (np.round(q * Q_GRID) / Q_GRID + 0.5) % 1.0 - 0.5
@@ -171,7 +173,15 @@ class OperatorCache:
             op = build_period_operator(
                 self.cfg, MomentumBasis(size=self.size, hbar=self.hbar, q=q))
             self._ops[q] = op
+            tail = 1.0 - self.cfg.delta - self.cfg.alpha / 2.0
+            self._tails[q] = (op.basis.free_phases(-tail)[:, None],
+                              op.basis.free_phases(tail)[:, None])
         return op
+
+    def tail_phases(self, op: PeriodOperator) -> tuple:
+        """Diagonals of (F_tail^-1, F_tail), as columns, for an operator
+        this cache returned."""
+        return self._tails[op.basis.q]
 
 
 @dataclass
@@ -210,7 +220,6 @@ def _continuous_kick(Psi, q, q_after, emit, x, shift, cache):
     shifts; grouped by q_after, the emitting columns take the rest.
     """
     cfg = cache.cfg
-    tail = 1.0 - cfg.delta - cfg.alpha / 2.0
     late = emit & (x >= cfg.alpha / 2.0)
     first = np.flatnonzero(~emit | late)
     for op, g in _q_groups(q[first], cache):
@@ -220,14 +229,14 @@ def _continuous_kick(Psi, q, q_after, emit, x, shift, cache):
     w = np.where(late, x[cols] - cfg.alpha, x[cols])
     E = Psi[:, cols]
     for op, g in _q_groups(q[cols], cache):
-        E[:, g[late[g]]] *= op.basis.free_phases(-tail)[:, None]
+        E[:, g[late[g]]] *= cache.tail_phases(op)[0]
         E[:, g] = op.apply_pulse(E[:, g], w[g])
     # column j rolled by shift[j], as np.roll
     rows = np.arange(E.shape[0])[:, None] - shift[cols]
     E = E[rows % E.shape[0], np.arange(cols.size)]
     for op, g in _q_groups(q_after[cols], cache):
         Y = op.apply_pulse(E[:, g], -w[g])
-        Y[:, late[g]] *= op.basis.free_phases(tail)[:, None]
+        Y[:, late[g]] *= cache.tail_phases(op)[1]
         Y[:, ~late[g]] = np.dot(op.U, Y[:, ~late[g]])
         E[:, g] = Y
     Psi[:, cols] = E

@@ -22,12 +22,16 @@ eigenbasis O, found by one real symmetric eigensolve of its Cayley
 transform (see _symmetric_eigh).
 
 Coherent evolution never forms U rho U+.  The density matrix is
-factored once into amplitude columns, rho = W W+ (from its
-eigendecomposition, columns V_m sqrt(lambda_m)), so rho_t = W_t W_t+ with
+factored once into amplitude columns, rho = W W+, with columns
+V_m sqrt(lambda_m) from its eigendecomposition.  A diagonal rho, such as
+initial_density, is its own eigendecomposition: W = diag(sqrt(rho_nn)),
+with no eigensolve.  Then rho_t = W_t W_t+ with
 W_t = U^t W = s O (lambda^t * C) and C = O^T s^-1 W: each kick is one
 real-by-complex product O @ C, and the momentum distribution is the row
-sums of |W_t|^2.  The outside fraction is the probability beyond the
-drive's cantorus (pulses.barrier).
+sums of |W_t|^2.  When only the final state is needed (density_after),
+lambda^T * C is formed at once and only the last kick's product is made.
+The outside fraction is the probability beyond the drive's cantorus
+(pulses.barrier).
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ RECONSTRUCTION_TOL = 1e-8
 CAYLEY_SHIFTS = (0.0, 2.0, 4.0)
 # ladder states, half at each end, whose population flags the hard wall
 EDGE_STATES = 8
+# largest edge population at which the hard wall is taken not to act
+EDGE_POPULATION_MAX = 1e-10
 
 
 @dataclass(frozen=True)
@@ -225,19 +231,46 @@ def _evolution_result(dists: np.ndarray, op: PeriodOperator,
 def _amplitude_columns(rho: np.ndarray) -> np.ndarray:
     """W with rho = W W+, from the eigendecomposition of rho.
 
-    Column m is sqrt(lambda_m) times eigenvector m.  rho must be Hermitian
-    and positive semidefinite to DENSITY_TOL; eigenvalues inside the
-    tolerance below 0 count as 0.
+    Column m is sqrt(lambda_m) times eigenvector m.  A diagonal rho has
+    the unit vectors for eigenvectors, so no eigensolve is made and W is
+    returned as the 1-D sqrt(diag rho), standing for diag(W).  rho must
+    be Hermitian and positive semidefinite to DENSITY_TOL; eigenvalues
+    inside the tolerance below 0 count as 0.
     """
-    skew = float(np.max(np.abs(rho - rho.conj().T)))
+    d = np.diagonal(rho)
+    diagonal = np.count_nonzero(rho) == np.count_nonzero(d)
+    # off the diagonal a diagonal rho is exactly Hermitian
+    part = d if diagonal else rho
+    skew = float(np.max(np.abs(part - part.conj().T)))
     if skew > DENSITY_TOL:
         raise ValueError(f"rho must be Hermitian, max |rho - rho+| = "
                          f"{skew:.3g}")
-    lam, V = np.linalg.eigh(rho)
-    if lam[0] < -DENSITY_TOL:
+    lam, V = (d.real, None) if diagonal else np.linalg.eigh(rho)
+    if lam.min() < -DENSITY_TOL:
         raise ValueError(f"rho must be positive semidefinite, smallest "
-                         f"eigenvalue {lam[0]:.3g}")
-    return V * np.sqrt(np.maximum(lam, 0.0))
+                         f"eigenvalue {lam.min():.3g}")
+    root = np.sqrt(np.maximum(lam, 0.0))
+    return root if diagonal else V * root
+
+
+def _floquet_columns(rho: np.ndarray, op: PeriodOperator) -> tuple:
+    """(s, O, lambda, C) for the coherent evolution of rho under op:
+    the frame, Floquet basis and eigenphases of _symmetric_eigh, and the
+    amplitude columns of rho in that basis, C = O^T s^-1 W."""
+    W = _amplitude_columns(rho)
+    s, O, lam, _ = _symmetric_eigh(op)
+    if W.ndim == 1:
+        # O^T diag(s^-1 W): column k of O^T scaled, with no product
+        C = np.multiply(O.T, s.conj() * W, order="C")
+    else:
+        C = _real_matmul(O.T, s.conj()[:, None] * W)
+    return s, O, lam, C
+
+
+def _density(s: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """W W+ for the lab-frame amplitude columns W = s Y."""
+    W = s[:, None] * Y
+    return W @ W.conj().T
 
 
 def evolve_density(rho: np.ndarray, op: PeriodOperator,
@@ -252,10 +285,8 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
     dists = np.empty((kicks + 1, op.basis.size))
-    W = _amplitude_columns(rho)
     dists[0] = np.real(np.diag(rho))
-    s, O, lam, _ = _symmetric_eigh(op)
-    C = _real_matmul(O.T, s.conj()[:, None] * W)
+    s, O, lam, C = _floquet_columns(rho, op)
     lam = lam[:, None]
     for t in range(1, kicks + 1):
         C *= lam
@@ -263,8 +294,22 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
         # row sums of |Y|^2 over the interleaved real and imaginary parts
         re_im = Y.view(np.float64)
         dists[t] = np.einsum("ij,ij->i", re_im, re_im)
-    W = s[:, None] * Y
-    return _evolution_result(dists, op, W @ W.conj().T)
+    return _evolution_result(dists, op, _density(s, Y))
+
+
+def density_after(rho: np.ndarray, op: PeriodOperator,
+                  kicks: int) -> np.ndarray:
+    """rho after `kicks` coherent cycles of op: evolve_density's
+    final_density, with no distribution recorded.
+
+    In the Floquet basis the columns after T kicks are lambda^T * C, so
+    only the last kick's product Y = O C_T is made.
+    """
+    if kicks < 1:
+        raise ValueError(f"kicks must be >= 1, got {kicks}")
+    s, O, lam, C = _floquet_columns(rho, op)
+    C *= (lam**kicks)[:, None]
+    return _density(s, _real_matmul(O, C))
 
 
 def unitarity_defect(U: np.ndarray) -> float:

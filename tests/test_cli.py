@@ -366,6 +366,45 @@ def test_run_wigner_outputs(tmp_path):
     assert info["K"] == 80.0
 
 
+def test_coherent_wigner_skips_the_kick_loop(tmp_path, monkeypatch):
+    # a coherent wigner run reads only the final state, so it must not
+    # run the per-kick loop; a decohered one still needs every kick
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the per-kick coherent loop ran")
+
+    monkeypatch.setattr(dkrotor.quantum, "evolve_density", no_loop)
+    monkeypatch.setattr(dkrotor.decoherence, "evolve_density", no_loop)
+    models = []
+    run_decohered = cli.run_decohered
+
+    def spy(rho0, op, model, kicks):
+        models.append(model)
+        return run_decohered(rho0, op, model, kicks)
+
+    monkeypatch.setattr(cli, "run_decohered", spy)
+    run(ExperimentSpec(mode="wigner", K=80.0, kicks=4,
+                       out=str(tmp_path / "coherent")))
+    assert models == []
+    assert (tmp_path / "coherent" / "strangeness.json").exists()
+    run(ExperimentSpec(mode="wigner", K=80.0, kicks=4, eta=0.05,
+                       decoherence="emission", out=str(tmp_path / "emission")))
+    assert models == [dkrotor.EmissionModel(eta=0.05)]
+
+
+@pytest.mark.parametrize("sigma_p,flagged", [(dkrotor.KickConfig.sigma_p,
+                                              False), (200.0, True)])
+def test_operator_diagnostics_flag_edge_population(tmp_path, sigma_p,
+                                                   flagged):
+    # an initial Gaussian as wide as the ladder puts weight on its ends
+    out = tmp_path / "qm"
+    run(ExperimentSpec(mode="quantum", K=180.0, kicks=2, sigma_p=sigma_p,
+                       out=str(out)))
+    diag = json.loads((out / "operator_diagnostics.json").read_text())
+    assert diag["edge_population_flagged"] is flagged
+    assert (diag["edge_population"] > dkrotor.quantum.EDGE_POPULATION_MAX
+            ) is flagged
+
+
 def test_run_mc_outputs(tmp_path):
     out = tmp_path / "mc"
     spec = ExperimentSpec(mode="mc-wavefunction", K=120.0, kicks=4,

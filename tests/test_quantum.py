@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from dkrotor.pulses import KickConfig
-from dkrotor.quantum import (MomentumBasis, _time_reversal_frame,
-                             build_period_operator, edge_population,
-                             evolve_density, initial_density,
-                             unitarity_defect)
+from dkrotor.quantum import (MomentumBasis, _amplitude_columns,
+                             _time_reversal_frame, build_period_operator,
+                             density_after, edge_population, evolve_density,
+                             initial_density, unitarity_defect)
 from helpers import narrow_packet, split_operator_period
 
 BASIS = MomentumBasis()
@@ -153,17 +153,29 @@ def _dense_evolution(rho, op, kicks):
     return np.array(dists), rho
 
 
-@pytest.mark.parametrize("start,q", [("mixed", 0.0), ("pure", 0.0),
-                                     ("mixed", 0.3)],
-                         ids=["mixed", "pure", "mixed-q0.3"])
+def _start_density(start, cfg, basis):
+    """The initial Gaussian (diagonal), a pure packet, or a mixture of
+    the two."""
+    if start == "diagonal":
+        return initial_density(cfg, basis)
+    psi = narrow_packet(basis, center=3, width=6.0, seed=5)
+    packet = np.outer(psi, psi.conj())
+    return (0.7 * initial_density(cfg, basis) + 0.3 * packet
+            if start == "mixed" else packet)
+
+
+STARTS = pytest.mark.parametrize(
+    "start,q", [("mixed", 0.0), ("pure", 0.0), ("mixed", 0.3),
+                ("diagonal", 0.0)],
+    ids=["mixed", "pure", "mixed-q0.3", "diagonal"])
+
+
+@STARTS
 def test_evolve_density_matches_dense_loop(start, q):
     cfg = KickConfig(K=280.0)
     basis = MomentumBasis(q=q)
     op = build_period_operator(cfg, basis)
-    psi = narrow_packet(basis, center=3, width=6.0, seed=5)
-    packet = np.outer(psi, psi.conj())
-    rho = (0.7 * initial_density(cfg, basis) + 0.3 * packet
-           if start == "mixed" else packet)
+    rho = _start_density(start, cfg, basis)
     res = evolve_density(rho, op, 15)
     dists, final = _dense_evolution(rho, op, 15)
     outside = dists[:, np.abs(basis.momenta) > 10.0 * np.pi].sum(axis=1)
@@ -171,6 +183,38 @@ def test_evolve_density_matches_dense_loop(start, q):
     np.testing.assert_allclose(res.outside_fraction, outside, rtol=0,
                                atol=1e-13)
     np.testing.assert_allclose(res.final_density, final, rtol=0, atol=1e-13)
+
+
+@STARTS
+@pytest.mark.parametrize("kicks", [1, 15])
+def test_density_after_matches_kick_loops(start, q, kicks):
+    # the closed-form last kick against the recorded loop and the dense
+    # U rho U+ loop
+    cfg = KickConfig(K=280.0)
+    basis = MomentumBasis(q=q)
+    op = build_period_operator(cfg, basis)
+    rho = _start_density(start, cfg, basis)
+    got = density_after(rho, op, kicks)
+    np.testing.assert_allclose(got, evolve_density(rho, op, kicks)
+                               .final_density, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got, _dense_evolution(rho, op, kicks)[1],
+                               rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match="kicks must be >= 1"):
+        density_after(rho, op, 0)
+
+
+def test_diagonal_density_is_factored_without_eigensolve():
+    # a diagonal rho comes back as the 1-D sqrt of its diagonal, standing
+    # for diag(W); any coherence takes the eigendecomposition
+    cfg = KickConfig(K=280.0)
+    rho = initial_density(cfg, BASIS)
+    W = _amplitude_columns(rho)
+    assert W.shape == (128,)
+    np.testing.assert_array_equal(W, np.sqrt(np.real(np.diag(rho))))
+    rho[64, 65] = rho[65, 64] = 1e-3
+    W = _amplitude_columns(rho)
+    assert W.shape == (128, 128)
+    np.testing.assert_allclose(W @ W.conj().T, rho, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("K", [0.0, 280.0])
@@ -195,10 +239,28 @@ def test_evolve_density_rejects_non_density_matrix():
     skewed[0, 1] = 1e-9j
     with pytest.raises(ValueError, match="rho must be Hermitian"):
         evolve_density(skewed, op, 3)
+    # a complex diagonal, through the diagonal factor
+    skewed = rho.copy()
+    skewed[0, 0] = 1e-9j
+    with pytest.raises(ValueError, match="rho must be Hermitian"):
+        evolve_density(skewed, op, 3)
     negative = rho.copy()
     negative[0, 0] = -1e-10
     with pytest.raises(ValueError, match="rho must be positive semidefinite"):
         evolve_density(negative, op, 3)
+    # a dense Hermitian rho with one eigenvalue -1e-10, through the
+    # eigendecomposition
+    rng = np.random.default_rng(6)
+    Q, _ = np.linalg.qr(rng.normal(size=(128, 128))
+                        + 1j * rng.normal(size=(128, 128)))
+    w = np.real(np.diag(rho)).copy()
+    w[0] = -1e-10
+    dense = (Q * w) @ Q.conj().T
+    dense = 0.5 * (dense + dense.conj().T)
+    with pytest.raises(ValueError, match="rho must be positive semidefinite"):
+        evolve_density(dense, op, 3)
+    with pytest.raises(ValueError, match="rho must be positive semidefinite"):
+        density_after(dense, op, 3)
     # roundoff-sized defects are accepted
     noisy = rho.copy()
     noisy[0, 0] = -1e-14
