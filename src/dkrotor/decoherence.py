@@ -33,7 +33,7 @@ import numpy as np
 
 from .pulses import KickConfig, barrier
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
-                      _evolution_result, build_period_operator,
+                      _evolution_result, _is_diagonal, build_period_operator,
                       evolve_density, initial_density)
 
 ANTI_ZENO = "anti-zeno"
@@ -128,9 +128,8 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
     if model == ANTI_ZENO:
         M = np.abs(U)**2
         d = dists[0]
-        off_diag = rho0 - np.diag(np.diag(rho0))
         start = 1
-        if np.max(np.abs(off_diag)) > 1e-14:
+        if not _is_diagonal(rho0):
             # first cycle must see the coherences before projection
             rho = anti_zeno_map(U @ rho0 @ U.conj().T)
             d = dists[1] = np.real(np.diag(rho))

@@ -26,12 +26,14 @@ factored once into amplitude columns, rho = W W+, with columns
 V_m sqrt(lambda_m) from its eigendecomposition.  A diagonal rho, such as
 initial_density, is its own eigendecomposition: W = diag(sqrt(rho_nn)),
 with no eigensolve.  Then rho_t = W_t W_t+ with
-W_t = U^t W = s O (lambda^t * C) and C = O^T s^-1 W: each kick is one
-real-by-complex product O @ C, and the momentum distribution is the row
-sums of |W_t|^2.  When only the final state is needed (density_after),
-lambda^T * C is formed at once and only the last kick's product is made.
-The outside fraction is the probability beyond the drive's cantorus
-(pulses.barrier).
+W_t = U^t W = s O C_t, C_t = lambda^t * C and C = O^T s^-1 W.  The
+momentum distribution reads the Floquet-frame density G_t = C_t C_t+:
+with |s| = 1 and O real, diag(rho_t) = diag(O R_t O^T) for the real
+symmetric R_t = Re G_t, so each kick is one elementwise phase turn of G
+and one real N x N product O @ R_t, 2 N^3 flops.  The final state, and
+the whole of density_after, forms lambda^T * C at once and makes only
+the last kick's product.  The outside fraction is the probability
+beyond the drive's cantorus (pulses.barrier).
 """
 
 from __future__ import annotations
@@ -228,6 +230,12 @@ def _evolution_result(dists: np.ndarray, op: PeriodOperator,
                            final_density=final_density)
 
 
+def _is_diagonal(rho: np.ndarray) -> bool:
+    """True when rho has no nonzero element off its diagonal, tested
+    without a temporary matrix."""
+    return np.count_nonzero(rho) == np.count_nonzero(np.diagonal(rho))
+
+
 def _amplitude_columns(rho: np.ndarray) -> np.ndarray:
     """W with rho = W W+, from the eigendecomposition of rho.
 
@@ -238,7 +246,7 @@ def _amplitude_columns(rho: np.ndarray) -> np.ndarray:
     inside the tolerance below 0 count as 0.
     """
     d = np.diagonal(rho)
-    diagonal = np.count_nonzero(rho) == np.count_nonzero(d)
+    diagonal = _is_diagonal(rho)
     # off the diagonal a diagonal rho is exactly Hermitian
     part = d if diagonal else rho
     skew = float(np.max(np.abs(part - part.conj().T)))
@@ -267,9 +275,12 @@ def _floquet_columns(rho: np.ndarray, op: PeriodOperator) -> tuple:
     return s, O, lam, C
 
 
-def _density(s: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """W W+ for the lab-frame amplitude columns W = s Y."""
-    W = s[:, None] * Y
+def _final_density(s: np.ndarray, O: np.ndarray, lam: np.ndarray,
+                   C: np.ndarray, kicks: int) -> np.ndarray:
+    """rho after `kicks` cycles from the Floquet columns C of rho, which
+    are overwritten: C_T = lambda^T * C, W_T = s O C_T, rho_T = W_T W_T+."""
+    C *= (lam**kicks)[:, None]
+    W = s[:, None] * _real_matmul(O, C)
     return W @ W.conj().T
 
 
@@ -278,23 +289,28 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
     """Coherent evolution of rho, recording the diagonal after each kick.
 
     rho is factored once into amplitude columns W (rho = W W+) and taken
-    into the Floquet basis, C = O^T s^-1 W.  Kick t is C <- lambda * C
-    and Y = O C, so that W_t = s Y; since |s| = 1 the distribution is
-    sum_m |Y[n, m]|^2, and the final density matrix is W_t W_t+.
+    into the Floquet basis, C = O^T s^-1 W, whose density G = C C+
+    turns by G_t = G_(t-1) * (lambda lambda+) elementwise each kick.
+    With |s| = 1 and O real, the distribution after kick t is
+    diag(O G_t O^T) = rowsum((O R_t) * O) with R_t = Re G_t: the
+    antisymmetric Im G_t adds nothing to a diagonal.  The final density
+    matrix is density_after's.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
     dists = np.empty((kicks + 1, op.basis.size))
     dists[0] = np.real(np.diag(rho))
     s, O, lam, C = _floquet_columns(rho, op)
-    lam = lam[:, None]
+    G = C @ C.conj().T
+    turn = lam[:, None] * lam.conj()
+    R = np.empty(O.shape)
+    OR = np.empty(O.shape)
     for t in range(1, kicks + 1):
-        C *= lam
-        Y = _real_matmul(O, C)
-        # row sums of |Y|^2 over the interleaved real and imaginary parts
-        re_im = Y.view(np.float64)
-        dists[t] = np.einsum("ij,ij->i", re_im, re_im)
-    return _evolution_result(dists, op, _density(s, Y))
+        G *= turn
+        np.copyto(R, G.real)
+        np.dot(O, R, out=OR)
+        dists[t] = np.einsum("ij,ij->i", OR, O)
+    return _evolution_result(dists, op, _final_density(s, O, lam, C, kicks))
 
 
 def density_after(rho: np.ndarray, op: PeriodOperator,
@@ -303,13 +319,11 @@ def density_after(rho: np.ndarray, op: PeriodOperator,
     final_density, with no distribution recorded.
 
     In the Floquet basis the columns after T kicks are lambda^T * C, so
-    only the last kick's product Y = O C_T is made.
+    only the last kick's product O C_T is made.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
-    s, O, lam, C = _floquet_columns(rho, op)
-    C *= (lam**kicks)[:, None]
-    return _density(s, _real_matmul(O, C))
+    return _final_density(*_floquet_columns(rho, op), kicks)
 
 
 def unitarity_defect(U: np.ndarray) -> float:

@@ -5,7 +5,12 @@ On the N-state momentum torus the Wigner function lives on a doubled
 
     w(X_k, P_l) = sum_j exp(i pi j k / N) [(l+j) even] rho[(l+j)/2, (l-j)/2]
 
-with the bra/ket labels reduced modulo N onto the torus.  Hermiticity
+with the bra/ket labels reduced modulo N onto the torus (the doubled
+grid of Miquel, Paz & Saraceno, Phys. Rev. A 65, 062309 (2002)).  The
+parity factor zeroes half the terms: on row l = 2L + p only
+j = 2j' + p contributes, so the rows of each parity p are one block of
+N-point inverse FFTs over j', and the k >= N half of each row is
+(-1)^p times its k < N half.  Hermiticity
 makes the grid real; averaging 2x2 cells gives an N x N grid whose rows
 carry integer ladder momenta and whose position sum reproduces diag(rho)
 exactly.  The statistic
@@ -57,30 +62,40 @@ class WignerGrid:
 def wigner_transform(rho: np.ndarray, basis: MomentumBasis) -> WignerGrid:
     """Toroidal Wigner grid of rho with 2x2 coarse graining.
 
-    The j sum is one inverse FFT per momentum row; the parity factor
-    keeps only every other j so the half-sum indices are integers.
+    Row parity p is one block of N-point inverse FFTs,
+    F_p[L, k] = sum_j' exp(2 pi i j' k / N) g_p[L, j'], of the half-sum
+    g_p[L, j'] = rho[L + j' + p, L - j'] (torus labels), and
+    raw[2L + p, k] = exp(i pi p k / N) F_p[L, k mod N] for k < 2N.
     """
     N = basis.size
     if rho.shape != (N, N):
         raise ValueError(f"rho must be {N}x{N} for this basis")
+    rho = np.asarray(rho, dtype=complex)
 
-    # ladder array order -> torus label order u = n mod N
-    perm = (np.arange(N) + N // 2) % N
-    lab = rho[np.ix_(perm, perm)]
+    # flat indices of g_0 into rho; torus label u is ladder row
+    # (u + N/2) mod N
+    L = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    flat = (L + j + N // 2) % N * N + (L - j + N // 2) % N
 
-    l = np.arange(2 * N)[:, None]
-    j = np.arange(2 * N)[None, :]
-    even = (l + j) % 2 == 0
-    u = ((l + j) // 2) % N
-    v = ((l - j) // 2) % N
-    G = np.where(even, lab[u, v], 0.0)
-    raw = 2 * N * np.fft.ifft(G, axis=1)
-
-    imag = float(np.max(np.abs(raw.imag)))
+    raw = np.empty((2 * N, 2 * N))
+    F = np.empty((N, N), dtype=complex)
+    imag = 0.0
+    for p in (0, 1):
+        if p:
+            # g_1 is g_0 with the ket label one further on
+            flat += N
+        rho.take(flat, mode="wrap", out=F)
+        np.fft.ifft(F, axis=1, norm="forward", out=F)
+        if p:
+            F *= np.exp(1j * np.pi * np.arange(N) / N)
+        imag = max(imag, float(np.max(np.abs(F.imag))))
+        rows = raw[p::2]
+        rows[:, :N] = F.real
+        np.multiply(rows[:, :N], (-1.0)**p, out=rows[:, N:])
     if imag > IMAG_TOL:
         raise ValueError(
             f"grid imaginary residue {imag:.2e}; rho is not Hermitian enough")
-    raw = raw.real
 
     cells = raw.reshape(N, 2, N, 2).sum(axis=(1, 3))
     norm = float(cells.sum())

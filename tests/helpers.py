@@ -376,3 +376,34 @@ def strangeness_sweep(K_values, eta_values, kicks=20, basis=MomentumBasis()):
             S = strangeness(wigner_transform(result.final_density, basis))
             rows.append({"K": float(K), "eta": float(eta), "S": S})
     return rows
+
+
+def wigner_direct(rho, basis):
+    """(raw, coarse) of the toroidal Wigner grid, term by term.
+
+    raw[l, k] = sum_j exp(i pi j k / N) [(l+j) even] rho[(l+j)/2, (l-j)/2]
+    over the 2N x 2N grid, with bra and ket taken as torus labels u = n
+    mod N; coarse sums each 2x2 cell, divides by the total and orders
+    the rows by ladder index n.  No FFT, parity split or half-grid
+    symmetry is used.
+    """
+    N = basis.size
+    M = 2 * N
+    # exp(i pi j k / N), with the exponent reduced exactly mod 2N
+    phase = np.exp(1j * np.pi * (np.outer(np.arange(M), np.arange(M)) % M)
+                   / N)
+    raw = np.empty((M, M))
+    for l in range(M):
+        j = np.arange(l % 2, M, 2)             # (l + j) even
+        u, v = ((l + j) // 2) % N, ((l - j) // 2) % N
+        # torus label u sits at ladder row (u + N/2) mod N
+        terms = rho[(u + N // 2) % N, (v + N // 2) % N]
+        value = terms @ phase[j]
+        assert np.max(np.abs(value.imag)) < 1e-10
+        raw[l] = value.real
+    cells = np.zeros((N, N))
+    for i, n in enumerate(basis.indices):
+        L = n % N
+        for K in range(N):
+            cells[i, K] = raw[2 * L:2 * L + 2, 2 * K:2 * K + 2].sum()
+    return raw, cells / cells.sum()

@@ -170,19 +170,30 @@ STARTS = pytest.mark.parametrize(
     ids=["mixed", "pure", "mixed-q0.3", "diagonal"])
 
 
-@STARTS
-def test_evolve_density_matches_dense_loop(start, q):
+def _assert_matches_dense_loop(start, q, kicks):
     cfg = KickConfig(K=280.0)
     basis = MomentumBasis(q=q)
     op = build_period_operator(cfg, basis)
     rho = _start_density(start, cfg, basis)
-    res = evolve_density(rho, op, 15)
-    dists, final = _dense_evolution(rho, op, 15)
+    res = evolve_density(rho, op, kicks)
+    dists, final = _dense_evolution(rho, op, kicks)
     outside = dists[:, np.abs(basis.momenta) > 10.0 * np.pi].sum(axis=1)
     np.testing.assert_allclose(res.distributions, dists, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.outside_fraction, outside, rtol=0,
                                atol=1e-13)
     np.testing.assert_allclose(res.final_density, final, rtol=0, atol=1e-13)
+
+
+@STARTS
+def test_evolve_density_matches_dense_loop(start, q):
+    _assert_matches_dense_loop(start, q, 15)
+
+
+@pytest.mark.parametrize("start", ["diagonal", "mixed"])
+def test_evolve_density_matches_dense_loop_over_70_kicks(start):
+    # the CLI and benchmark horizon: the per-kick phase turn of the
+    # Floquet-frame density accumulates its roundoff over all 70 kicks
+    _assert_matches_dense_loop(start, 0.0, 70)
 
 
 @STARTS

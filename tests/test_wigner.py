@@ -1,15 +1,18 @@
 """Toroidal Wigner function and the strangeness diagnostic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dkrotor.pulses import KickConfig
-from dkrotor.quantum import MomentumBasis, initial_density
+from dkrotor.quantum import (MomentumBasis, build_period_operator,
+                             density_after, initial_density)
 from dkrotor.wigner import (TARGET_S_MIXED, TARGET_S_SUPERPOSED,
                             WidthCalibration, calibrate_packet_width,
                             gaussian_packet, strangeness, two_packet_mixture,
                             two_packet_superposition, wigner_transform)
-from helpers import strangeness_sweep
+from helpers import strangeness_sweep, wigner_direct
 
 BASIS = MomentumBasis()
 N = 128
@@ -36,6 +39,51 @@ def test_grid_geometry_and_normalization():
     np.testing.assert_allclose(g.coarse_positions,
                                2.0 * np.pi * np.arange(N) / N)
     assert np.isrealobj(g.raw) and np.isrealobj(g.coarse)
+
+
+def _evolved(basis, kicks=70):
+    cfg = KickConfig(K=280.0, hbar=basis.hbar)
+    return density_after(initial_density(cfg, basis),
+                         build_period_operator(cfg, basis), kicks)
+
+
+def _random_density(size, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("state,size", [("random", 8), ("random", 16),
+                                        ("real", 16), ("evolved", 128)])
+def test_grid_matches_direct_sum(state, size):
+    # the module-docstring sum, term by term, against the two N-point
+    # FFT blocks and their (-1)^p halves; a real rho is accepted too
+    basis = MomentumBasis(size=size)
+    if state == "evolved":
+        rho = _evolved(basis)
+    else:
+        rho = _random_density(size, seed=size)
+        if state == "real":
+            rho = rho.real
+    raw, coarse = wigner_direct(rho, basis)
+    g = wigner_transform(rho, basis)
+    np.testing.assert_allclose(g.raw, raw, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(g.coarse, coarse, rtol=0, atol=1e-15)
+
+
+def test_transform_memory_budget():
+    # the grid is built from N x N blocks: the traced peak stays below
+    # ten copies of rho, of which the real 2N x 2N raw grid is two
+    basis = MomentumBasis(size=256, hbar=1.3)
+    rho = _evolved(basis)
+    tracemalloc.start()
+    try:
+        wigner_transform(rho, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * rho.nbytes
 
 
 def test_momentum_marginal_is_exact():
