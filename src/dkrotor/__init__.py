@@ -8,8 +8,7 @@ from .classical import (ClassicalEnsemble, MomentumHistogram, PhasePoint,
                         momentum_bin_edges, pendulum_step, propagate_ensemble,
                         sample_initial)
 from .decoherence import (ANTI_ZENO, EmissionModel, MCResult, OperatorCache,
-                          anti_zeno_map, mc_wavefunction_run, run_decohered,
-                          spontaneous_emission_map)
+                          anti_zeno_map, mc_wavefunction_run, run_decohered)
 from .diffusion import DiffusionFit, fit_flux, flux_from_rate
 from .floquet import FloquetDecomposition, asymptotic_matrix, decompose
 from .pulses import Barrier, KickConfig, barrier, fourier_coefficient
@@ -31,7 +30,6 @@ __all__ = [
     "flux_from_rate", "fourier_coefficient", "free_step", "gaussian_packet",
     "initial_density", "kick_cycle", "mc_wavefunction_run",
     "momentum_bin_edges", "pendulum_step", "propagate_ensemble",
-    "run_decohered", "sample_initial", "spontaneous_emission_map",
-    "strangeness", "two_packet_mixture", "two_packet_superposition",
-    "unitarity_defect", "wigner_transform",
+    "run_decohered", "sample_initial", "strangeness", "two_packet_mixture",
+    "two_packet_superposition", "unitarity_defect", "wigner_transform",
 ]

@@ -68,18 +68,9 @@ class EmissionModel:
                 f"got {self.recoil_mode!r}")
 
 
-def spontaneous_emission_map(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Discretized-recoil emission map; trace-preserving, periodic wrap.
-
-    rho is left unchanged.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return _emission_map_into(rho.copy(), eta)
-
-
 def _emission_map_into(rho: np.ndarray, eta: float) -> np.ndarray:
-    """spontaneous_emission_map written over rho, which it returns."""
+    """Discretized-recoil emission map written over rho, which it returns;
+    trace-preserving, periodic wrap.  EmissionModel validates eta."""
     # rho[m+1, n+1] + rho[m-1, n-1], wrapped, in eight slice operations
     shifted = np.empty_like(rho)
     shifted[:-1, :-1] = rho[1:, 1:]
@@ -147,12 +138,12 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
 
 
 class OperatorCache:
-    """Period operators and pulse factors on a quantized q grid.
+    """Period operators on a quantized q grid.
 
     Rebuilding the tridiagonal eigendecomposition per emission would
     dominate trajectory runs; q is therefore snapped to multiples of
-    1/Q_GRID and operators built once per occupied grid point, each with
-    the free tail phases that an emission inside the second pulse needs.
+    1/Q_GRID and one operator built per occupied grid point, whose
+    pulse factors and tail phases serve an emission inside a pulse.
     """
 
     def __init__(self, cfg: KickConfig, size: int, hbar: float):
@@ -160,7 +151,6 @@ class OperatorCache:
         self.size = size
         self.hbar = hbar
         self._ops: dict[float, PeriodOperator] = {}
-        self._tails: dict[float, tuple] = {}
 
     def snap(self, q: float) -> float:
         return (np.round(q * Q_GRID) / Q_GRID + 0.5) % 1.0 - 0.5
@@ -172,15 +162,7 @@ class OperatorCache:
             op = build_period_operator(
                 self.cfg, MomentumBasis(size=self.size, hbar=self.hbar, q=q))
             self._ops[q] = op
-            tail = 1.0 - self.cfg.delta - self.cfg.alpha / 2.0
-            self._tails[q] = (op.basis.free_phases(-tail)[:, None],
-                              op.basis.free_phases(tail)[:, None])
         return op
-
-    def tail_phases(self, op: PeriodOperator) -> tuple:
-        """Diagonals of (F_tail^-1, F_tail), as columns, for an operator
-        this cache returned."""
-        return self._tails[op.basis.q]
 
 
 @dataclass
@@ -228,14 +210,14 @@ def _continuous_kick(Psi, q, q_after, emit, x, shift, cache):
     w = np.where(late, x[cols] - cfg.alpha, x[cols])
     E = Psi[:, cols]
     for op, g in _q_groups(q[cols], cache):
-        E[:, g[late[g]]] *= cache.tail_phases(op)[0]
+        E[:, g[late[g]]] *= op.tail.conj()[:, None]
         E[:, g] = op.apply_pulse(E[:, g], w[g])
     # column j rolled by shift[j], as np.roll
     rows = np.arange(E.shape[0])[:, None] - shift[cols]
     E = E[rows % E.shape[0], np.arange(cols.size)]
     for op, g in _q_groups(q_after[cols], cache):
         Y = op.apply_pulse(E[:, g], -w[g])
-        Y[:, late[g]] *= cache.tail_phases(op)[1]
+        Y[:, late[g]] *= op.tail[:, None]
         Y[:, ~late[g]] = np.dot(op.U, Y[:, ~late[g]])
         E[:, g] = Y
     Psi[:, cols] = E
@@ -327,7 +309,7 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
                 q = q_after
             elif t:
                 Psi = U @ Psi
-                # same periodic wrap as spontaneous_emission_map
+                # same periodic wrap as the emission map
                 for step, sel in ((1, emit & (x < 0.5)),
                                   (-1, emit & (x >= 0.5))):
                     Psi[:, sel] = np.roll(Psi[:, sel], step, axis=0)

@@ -79,22 +79,16 @@ def _degenerate_clusters(order: np.ndarray, gaps: np.ndarray) -> tuple:
     return tuple(tuple(int(i) for i in g) for g in groups if len(g) > 1)
 
 
-def decompose(U, hbar: float | None = None) -> FloquetDecomposition:
-    """Spectral decomposition of a unitary period operator.
+def decompose(U: PeriodOperator) -> FloquetDecomposition:
+    """Spectral decomposition of a period operator.
 
-    Accepts a PeriodOperator or a plain complex-symmetric matrix (then
-    hbar is required).  Rejects inputs whose unitarity defect exceeds
-    1e-6, which signals an upstream construction error rather than
-    roundoff.
+    The eigensolve works in U's time-reversal frame, and the
+    quasi-energies take hbar from U.basis.  Rejects an operator whose
+    unitarity defect exceeds 1e-6, which signals an upstream construction
+    error rather than roundoff.
     """
-    if isinstance(U, PeriodOperator):
-        hbar = U.basis.hbar
-        matrix = U.U
-    else:
-        matrix = U
-    if hbar is None:
-        raise ValueError("hbar is required when U is a plain matrix")
-    defect = unitarity_defect(matrix)
+    hbar = U.basis.hbar
+    defect = unitarity_defect(U.U)
     if defect > UNITARITY_REJECT:
         raise ValueError(f"U is not unitary (defect {defect:.2e})")
 

@@ -92,17 +92,18 @@ class MomentumBasis:
 
 @dataclass
 class PeriodOperator:
-    """One-cycle evolution operator with its reusable pulse factors.
+    """One-cycle evolution operator with the factors of partial cycles.
 
-    pulse_energies / pulse_vectors hold the eigendecomposition of the
-    tridiagonal pulse Hamiltonian (vectors real orthogonal), kept so
-    partial-pulse propagators can be formed exactly, which the
-    spontaneous-emission trajectory model needs.
+    tail is the diagonal of F(1 - delta - alpha/2), the last factor of U;
+    pulse_energies / pulse_vectors are the eigendecomposition of the
+    tridiagonal pulse Hamiltonian (real orthogonal vectors).  The
+    spontaneous-emission trajectory model forms partial cycles from them.
     """
 
     U: np.ndarray
     basis: MomentumBasis
     config: KickConfig
+    tail: np.ndarray = field(repr=False)
     pulse_energies: np.ndarray = field(repr=False)
     pulse_vectors: np.ndarray = field(repr=False)
 
@@ -131,12 +132,11 @@ def _time_reversal_frame(op: PeriodOperator) -> np.ndarray:
     return op.basis.free_phases(0.5 * (1.0 - cfg.delta - 0.5 * cfg.alpha))
 
 
-def _symmetric_eigh(U) -> tuple:
-    """Real orthogonal eigenbasis of the complex-symmetric form of U.
+def _symmetric_eigh(op: PeriodOperator) -> tuple:
+    """Real orthogonal eigenbasis of op.U in its time-reversal frame s.
 
-    U is a PeriodOperator, taken in its time-reversal frame s, or a plain
-    unitary matrix that must already be complex symmetric (then s = 1).
-    With V = exp(i phi) U_s, the Cayley transform
+    U_s = s^-1 U s must be complex symmetric, which a period operator is
+    by construction.  With V = exp(i phi) U_s, the Cayley transform
     H = i (1 + V)^-1 (1 - V) = -2 Im (1 + V)^-1 is Hermitian and symmetric,
     hence real, and maps the eigenvalue exp(-i theta) of U_s one-to-one
     onto tan((phi - theta) / 2); one real eigh gives O.  The eigenvalues
@@ -147,12 +147,8 @@ def _symmetric_eigh(U) -> tuple:
     Returns (s, O, lambda, residual) with U = (s O) diag(lambda) (s O)+
     and residual = max |U_s O - O diag(lambda)|.
     """
-    if isinstance(U, PeriodOperator):
-        s = _time_reversal_frame(U)
-        Us = s.conj()[:, None] * U.U * s
-    else:
-        Us = np.asarray(U, dtype=complex)
-        s = np.ones(Us.shape[0], dtype=complex)
+    s = _time_reversal_frame(op)
+    Us = s.conj()[:, None] * op.U * s
     asym = float(np.max(np.abs(Us - Us.T)))
     if asym > SYMMETRY_TOL:
         raise ValueError(f"U must be complex symmetric (time-reversal "
@@ -204,19 +200,15 @@ def build_period_operator(cfg: KickConfig, basis: MomentumBasis) -> PeriodOperat
 
     nq = basis.indices + basis.q
     diag = 0.5 * (nq * basis.hbar)**2
-    off = np.full(basis.size - 1, -0.5 * cfg.K)
-    if cfg.K == 0.0:
-        lam, V = diag.copy(), np.eye(basis.size)
-    else:
-        lam, V = eigh_tridiagonal(diag, off)
+    lam, V = eigh_tridiagonal(diag, np.full(basis.size - 1, -0.5 * cfg.K))
 
     half = cfg.alpha / 2.0
     P = (V * np.exp(-1j * lam * half / basis.hbar)) @ V.T
     f_gap = basis.free_phases(cfg.delta - half)
     f_tail = basis.free_phases(1.0 - cfg.delta - half)
     return PeriodOperator(U=f_tail[:, None] * (P @ (f_gap[:, None] * P)),
-                          basis=basis, config=cfg, pulse_energies=lam,
-                          pulse_vectors=V)
+                          basis=basis, config=cfg, tail=f_tail,
+                          pulse_energies=lam, pulse_vectors=V)
 
 
 def _evolution_result(dists: np.ndarray, op: PeriodOperator,

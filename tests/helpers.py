@@ -19,7 +19,7 @@ ExperimentSpec are used by the tests alone.
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -28,8 +28,8 @@ from scipy.linalg import schur
 from dkrotor.decoherence import EmissionModel, OperatorCache, run_decohered
 from dkrotor.floquet import FloquetDecomposition
 from dkrotor.pulses import KickConfig, barrier, fourier_coefficient
-from dkrotor.quantum import (MomentumBasis, build_period_operator,
-                             initial_density)
+from dkrotor.quantum import (MomentumBasis, _time_reversal_frame,
+                             build_period_operator, initial_density)
 from dkrotor.wigner import strangeness, wigner_transform
 
 TWO_PI = 2.0 * np.pi
@@ -260,6 +260,20 @@ def schur_decomposition(U, hbar, cut=1e-10):
                                            & (gaps <= 10.0 * cut))),
         unitarity_defect=float(np.max(np.abs(U.conj().T @ U - np.eye(N)))),
         reconstruction_residual=float(np.max(np.abs(U @ Z - Z * lam))))
+
+
+def period_operator_of(M, hbar):
+    """A period operator whose time-reversal form is the matrix M.
+
+    decompose takes only period operators; this carries a hand-built
+    complex-symmetric unitary M into one, as the lab-frame
+    U = s M s^-1 of the K = 0 operator of M's size, with s its
+    time-reversal frame.
+    """
+    op = build_period_operator(KickConfig(K=0.0),
+                               MomentumBasis(size=M.shape[0], hbar=hbar))
+    s = _time_reversal_frame(op)
+    return replace(op, U=s[:, None] * M * s.conj())
 
 
 def narrow_packet(basis, center, width, seed):

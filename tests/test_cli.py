@@ -339,6 +339,13 @@ def test_package_exports_its_public_names():
                        (dkrotor.WidthCalibration,
                         {"target_mixed", "target_superposed"})):
         assert not names & {f.name for f in dataclasses.fields(cls)}
+    # one form per quantum object: decompose takes only a period operator,
+    # which carries its own tail phases, and run_decohered alone applies
+    # the emission map
+    assert not hasattr(dkrotor, "spontaneous_emission_map")
+    assert not hasattr(dkrotor.decoherence, "spontaneous_emission_map")
+    assert "hbar" not in inspect.signature(dkrotor.decompose).parameters
+    assert not hasattr(dkrotor.OperatorCache, "tail_phases")
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -9,7 +9,7 @@ from dkrotor.floquet import asymptotic_matrix, decompose
 from dkrotor.pulses import TWO_PI, KickConfig
 from dkrotor.quantum import CAYLEY_SHIFTS, MomentumBasis, build_period_operator
 
-from helpers import schur_decomposition
+from helpers import period_operator_of, schur_decomposition
 
 BASIS = MomentumBasis()
 
@@ -90,8 +90,8 @@ def test_degenerate_cluster_is_flagged_and_basis_invariant():
     V = np.eye(N, dtype=complex)
     c, s = np.cos(np.pi / 4.0), np.sin(np.pi / 4.0)
     V[3, 3], V[3, 9], V[9, 3], V[9, 9] = c, -s, s, c
-    mixed = decompose((V * lam) @ V.conj().T, hbar=2.6)
-    plain = decompose(np.diag(lam), hbar=2.6)
+    mixed = decompose(period_operator_of((V * lam) @ V.conj().T, 2.6))
+    plain = decompose(period_operator_of(np.diag(lam), 2.6))
     # cluster entries index eigencolumns (quasi-energy order)
     assert len(mixed.degenerate_clusters) == 1
     cols = list(mixed.degenerate_clusters[0])
@@ -114,9 +114,7 @@ def test_degenerate_cluster_is_flagged_and_basis_invariant():
 def test_decompose_rejections():
     op = build_period_operator(KickConfig(K=90.0), BASIS)
     with pytest.raises(ValueError):
-        decompose(op.U)  # plain matrix needs hbar
-    with pytest.raises(ValueError):
-        decompose(op.U * 1.001, hbar=2.6)  # not unitary
+        decompose(replace(op, U=op.U * 1.001))  # not unitary
 
 
 @pytest.mark.parametrize("K", [180.0, 280.0])
@@ -158,22 +156,22 @@ def test_decompose_survives_cayley_pole():
     N = 40
     phases = np.linspace(0.1, 6.1, N)
     phases[7] = np.pi - CAYLEY_SHIFTS[0]
-    U = _symmetric_unitary(phases, seed=3)
-    dec = decompose(U, hbar=1.0)
+    op = period_operator_of(_symmetric_unitary(phases, seed=3), 1.0)
+    dec = decompose(op)
     assert dec.reconstruction_residual < 1e-8
     Z = dec.vectors
     lam = np.exp(-1j * dec.quasi_energies)  # hbar = 1
-    assert np.max(np.abs(U @ Z - Z * lam)) < 1e-8
+    assert np.max(np.abs(op.U @ Z - Z * lam)) < 1e-8
     np.testing.assert_allclose(np.sort(dec.quasi_energies),
                                np.sort(np.mod(-phases, TWO_PI)), atol=1e-10)
 
 
 def test_decompose_rejects_non_symmetric_matrix():
-    # the lab-frame U is unitary but not complex symmetric; only the
-    # PeriodOperator carries the frame that makes it so
+    # the lab-frame U is unitary but not complex symmetric; taken as the
+    # time-reversal form of an operator, it is rejected
     op = build_period_operator(KickConfig(K=90.0), BASIS)
     with pytest.raises(ValueError, match="complex symmetric"):
-        decompose(op.U, hbar=BASIS.hbar)
+        decompose(period_operator_of(op.U, BASIS.hbar))
 
 
 def test_near_cut_gaps_counts_gaps_within_a_decade_of_the_cut():
@@ -184,6 +182,7 @@ def test_near_cut_gaps_counts_gaps_within_a_decade_of_the_cut():
     phases[6] = phases[5] + 2e-11
     phases[9] = phases[8] + 1e-12
     phases[11] = phases[10] + 1e-7
-    dec = decompose(_symmetric_unitary(phases, seed=4), hbar=1.0)
+    dec = decompose(period_operator_of(_symmetric_unitary(phases, seed=4),
+                                       1.0))
     assert dec.near_cut_gaps == 2
     assert len(dec.degenerate_clusters) == 2

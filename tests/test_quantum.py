@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dkrotor.decoherence import Q_GRID, OperatorCache
 from dkrotor.pulses import KickConfig
 from dkrotor.quantum import (MomentumBasis, _amplitude_columns,
                              _time_reversal_frame, build_period_operator,
@@ -45,8 +46,37 @@ def test_zero_coupling_period_is_free():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("q", [0.0, 0.3, -0.5])
+def test_period_operator_carries_its_tail_phases(q):
+    cfg = KickConfig(K=0.0)
+    basis = MomentumBasis(q=q)
+    op = build_period_operator(cfg, basis)
+    half = cfg.alpha / 2.0
+    tail = 1.0 - cfg.delta - half
+    np.testing.assert_array_equal(op.tail, basis.free_phases(tail))
+    # with no coupling the tridiagonal solve returns the ladder states,
+    # so U is the product of the diagonal phase factors, bit for bit
+    nq = basis.indices + basis.q
+    P = np.diag(np.exp(-1j * (0.5 * (nq * basis.hbar)**2) * half
+                       / basis.hbar))
+    gap = basis.free_phases(cfg.delta - half)[:, None]
+    np.testing.assert_array_equal(op.U, op.tail[:, None] * (P @ (gap * P)))
+
+
+def test_tail_conjugate_is_inverse_tail_on_the_q_grid():
+    # an emission inside the second pulse undoes the free tail with
+    # op.tail.conj(); it must equal F(-tail) bit for bit on every grid q
+    cfg = KickConfig(K=280.0)
+    cache = OperatorCache(cfg, size=128, hbar=2.6)
+    tail = 1.0 - cfg.delta - cfg.alpha / 2.0
+    for k in range(Q_GRID):
+        op = cache.operator(k / Q_GRID - 0.5)
+        np.testing.assert_array_equal(op.tail.conj(),
+                                      op.basis.free_phases(-tail))
+
+
 def test_small_coupling_continuity():
-    # K -> 0 limit joins the analytic branch used when K == 0
+    # K -> 0 limit joins the free period at K == 0
     basis = MomentumBasis(size=64)
     U0 = build_period_operator(KickConfig(K=0.0), basis).U
     U1 = build_period_operator(KickConfig(K=1e-9), basis).U
