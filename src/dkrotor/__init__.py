@@ -8,7 +8,7 @@ from .classical import (ClassicalEnsemble, MomentumHistogram, PhasePoint,
                         momentum_bin_edges, pendulum_step, propagate_ensemble,
                         sample_initial)
 from .decoherence import (ANTI_ZENO, EmissionModel, MCResult, OperatorCache,
-                          anti_zeno_map, mc_wavefunction_run, run_decohered)
+                          mc_wavefunction_run, run_decohered)
 from .diffusion import DiffusionFit, fit_flux, flux_from_rate
 from .floquet import FloquetDecomposition, asymptotic_matrix, decompose
 from .pulses import Barrier, KickConfig, barrier, fourier_coefficient
@@ -24,12 +24,12 @@ __all__ = [
     "EmissionModel", "EvolutionResult", "FloquetDecomposition", "KickConfig",
     "MCResult", "MomentumBasis", "MomentumHistogram", "OperatorCache",
     "PeriodOperator", "PhasePoint", "PropagationResult", "WidthCalibration",
-    "WignerGrid", "anti_zeno_map", "asymptotic_matrix", "barrier",
-    "build_period_operator", "calibrate_packet_width", "decompose",
-    "density_after", "edge_population", "evolve_density", "fit_flux",
-    "flux_from_rate", "fourier_coefficient", "free_step", "gaussian_packet",
-    "initial_density", "kick_cycle", "mc_wavefunction_run",
-    "momentum_bin_edges", "pendulum_step", "propagate_ensemble",
-    "run_decohered", "sample_initial", "strangeness", "two_packet_mixture",
-    "two_packet_superposition", "unitarity_defect", "wigner_transform",
+    "WignerGrid", "asymptotic_matrix", "barrier", "build_period_operator",
+    "calibrate_packet_width", "decompose", "density_after", "edge_population",
+    "evolve_density", "fit_flux", "flux_from_rate", "fourier_coefficient",
+    "free_step", "gaussian_packet", "initial_density", "kick_cycle",
+    "mc_wavefunction_run", "momentum_bin_edges", "pendulum_step",
+    "propagate_ensemble", "run_decohered", "sample_initial", "strangeness",
+    "two_packet_mixture", "two_packet_superposition", "unitarity_defect",
+    "wigner_transform",
 ]

@@ -30,6 +30,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .floquet import asymptotic_matrix, decompose
 from .pulses import KickConfig, barrier
 from .quantum import (EDGE_POPULATION_MAX, MomentumBasis,
                       build_period_operator, density_after, edge_population,
-                      initial_density, unitarity_defect)
+                      initial_density)
 from .wigner import strangeness, wigner_transform
 
 DECOHERENCE_CHOICES = ("none", "emission", ANTI_ZENO)
@@ -298,8 +299,18 @@ def _channel(spec):
     return ANTI_ZENO if spec.decoherence == ANTI_ZENO else None
 
 
+@lru_cache(maxsize=1)
+def _period_operator(cfg: KickConfig, basis: MomentumBasis):
+    """build_period_operator, kept for the next run: consecutive runs on
+    one system share the operator, with the Floquet basis and unitarity
+    defect it keeps, at a cost of about 8 MiB held at N = 512.  The
+    module name is looked up per build, so a wrapper on it sees each one.
+    """
+    return build_period_operator(cfg, basis)
+
+
 def _run_quantum(spec):
-    op = build_period_operator(spec.kick_config(), spec.basis())
+    op = _period_operator(spec.kick_config(), spec.basis())
     result = run_decohered(initial_density(op.config, op.basis), op,
                            _channel(spec), spec.kicks)
     yield "momentum_distribution.csv", _distributions(op.basis,
@@ -309,7 +320,7 @@ def _run_quantum(spec):
     yield "operator_diagnostics.json", {
         "K": spec.K, "hbar": spec.hbar, "basis_size": spec.basis_size,
         "decoherence": spec.decoherence, "eta": spec.eta,
-        "unitarity_defect": unitarity_defect(op.U),
+        "unitarity_defect": op.unitarity_defect,
         "edge_population": edge,
         "edge_population_flagged": edge > EDGE_POPULATION_MAX,
     }
@@ -317,7 +328,7 @@ def _run_quantum(spec):
 
 def _run_floquet(spec):
     basis = spec.basis()
-    dec = decompose(build_period_operator(spec.kick_config(), basis))
+    dec = decompose(_period_operator(spec.kick_config(), basis))
     order = np.argsort(dec.quasi_energies)
     yield "quasi_energies.csv", (
         ("state", "quasi_energy"),
@@ -336,7 +347,7 @@ def _run_floquet(spec):
 
 
 def _run_wigner(spec):
-    op = build_period_operator(spec.kick_config(), spec.basis())
+    op = _period_operator(spec.kick_config(), spec.basis())
     rho = initial_density(op.config, op.basis)
     model = _channel(spec)
     # only the final state is read, so coherent runs skip the kicks
@@ -376,7 +387,7 @@ def _run_compare(spec):
     basis = spec.basis()
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
     classical = propagate_ensemble(ensemble, cfg, spec.kicks).outside_fraction
-    op = build_period_operator(cfg, basis)
+    op = _period_operator(cfg, basis)
     rho0 = initial_density(cfg, basis)
     channels = (("coherent", None), ("eta_002", EmissionModel(eta=0.02)),
                 ("eta_005", EmissionModel(eta=0.05)), ("anti_zeno", ANTI_ZENO))

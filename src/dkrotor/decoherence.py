@@ -87,11 +87,6 @@ def _emission_map_into(rho: np.ndarray, eta: float) -> np.ndarray:
     return rho
 
 
-def anti_zeno_map(rho: np.ndarray) -> np.ndarray:
-    """Projective momentum measurement: keep the diagonal, zero the rest."""
-    return np.diag(np.diag(rho))
-
-
 def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
                   kicks: int) -> EvolutionResult:
     """Interleave coherent cycles with a decoherence map, map second.
@@ -121,9 +116,9 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
         d = dists[0]
         start = 1
         if not _is_diagonal(rho0):
-            # first cycle must see the coherences before projection
-            rho = anti_zeno_map(U @ rho0 @ U.conj().T)
-            d = dists[1] = np.real(np.diag(rho))
+            # first cycle must see the coherences; the measurement then
+            # keeps only the diagonal
+            d = dists[1] = np.real(np.diag(U @ rho0 @ U.conj().T))
             start = 2
         for t in range(start, kicks + 1):
             d = dists[t] = M @ d

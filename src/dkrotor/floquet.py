@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .quantum import PeriodOperator, _symmetric_eigh, unitarity_defect
+from .quantum import PeriodOperator
 
 UNITARITY_REJECT = 1e-6
 DEGENERACY_ANGLE = 1e-10
@@ -82,17 +82,20 @@ def _degenerate_clusters(order: np.ndarray, gaps: np.ndarray) -> tuple:
 def decompose(U: PeriodOperator) -> FloquetDecomposition:
     """Spectral decomposition of a period operator.
 
-    The eigensolve works in U's time-reversal frame, and the
-    quasi-energies take hbar from U.basis.  Rejects an operator whose
-    unitarity defect exceeds 1e-6, which signals an upstream construction
-    error rather than roundoff.
+    The eigenbasis and the unitarity defect are the ones U keeps
+    (U.floquet_basis, from one eigensolve in U's time-reversal frame,
+    and U.unitarity_defect), so an operator that another pipeline has
+    already evolved is not solved again.  The quasi-energies take hbar
+    from U.basis.  Rejects an operator whose unitarity defect exceeds
+    1e-6, which signals an upstream construction error rather than
+    roundoff.
     """
     hbar = U.basis.hbar
-    defect = unitarity_defect(U.U)
+    defect = U.unitarity_defect
     if defect > UNITARITY_REJECT:
         raise ValueError(f"U is not unitary (defect {defect:.2e})")
 
-    s, O, lam, residual = _symmetric_eigh(U)
+    s, O, lam, residual = U.floquet_basis
     angles = np.mod(-np.angle(lam), 2.0 * np.pi)
     order, gaps = _circular_gaps(angles)
     clusters = _degenerate_clusters(order, gaps)

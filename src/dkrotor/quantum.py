@@ -39,6 +39,7 @@ beyond the drive's cantorus (pulses.barrier).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,11 @@ class PeriodOperator:
     pulse_energies / pulse_vectors are the eigendecomposition of the
     tridiagonal pulse Hamiltonian (real orthogonal vectors).  The
     spontaneous-emission trajectory model forms partial cycles from them.
+
+    build_period_operator makes these arrays read-only.  The Floquet
+    basis and the unitarity defect are computed on first use and kept,
+    so the pipelines that read one operator pay for each once;
+    dataclasses.replace gives a new operator that computes them afresh.
     """
 
     U: np.ndarray
@@ -115,6 +121,26 @@ class PeriodOperator:
         lam = lam.reshape((-1,) + (1,) * (np.ndim(psi) - 1))
         return _real_matmul(V, np.exp(-1j * lam * w / self.basis.hbar)
                             * _real_matmul(V.T, psi))
+
+    @cached_property
+    def floquet_basis(self) -> tuple:
+        """_symmetric_eigh of the operator, (s, O, lambda, residual), with
+        read-only arrays."""
+        s, O, lam, residual = _symmetric_eigh(self)
+        _read_only(s, O, lam)
+        return s, O, lam, residual
+
+    @cached_property
+    def unitarity_defect(self) -> float:
+        """Max-norm of U+ U - I, from the module's unitarity_defect."""
+        return unitarity_defect(self.U)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    """Flag the arrays non-writeable, so that no caller can change what
+    an operator holds or has computed."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -206,8 +232,9 @@ def build_period_operator(cfg: KickConfig, basis: MomentumBasis) -> PeriodOperat
     P = (V * np.exp(-1j * lam * half / basis.hbar)) @ V.T
     f_gap = basis.free_phases(cfg.delta - half)
     f_tail = basis.free_phases(1.0 - cfg.delta - half)
-    return PeriodOperator(U=f_tail[:, None] * (P @ (f_gap[:, None] * P)),
-                          basis=basis, config=cfg, tail=f_tail,
+    U = f_tail[:, None] * (P @ (f_gap[:, None] * P))
+    _read_only(U, f_tail, lam, V)
+    return PeriodOperator(U=U, basis=basis, config=cfg, tail=f_tail,
                           pulse_energies=lam, pulse_vectors=V)
 
 
@@ -255,10 +282,10 @@ def _amplitude_columns(rho: np.ndarray) -> np.ndarray:
 
 def _floquet_columns(rho: np.ndarray, op: PeriodOperator) -> tuple:
     """(s, O, lambda, C) for the coherent evolution of rho under op:
-    the frame, Floquet basis and eigenphases of _symmetric_eigh, and the
+    the frame, Floquet basis and eigenphases of op.floquet_basis, and the
     amplitude columns of rho in that basis, C = O^T s^-1 W."""
     W = _amplitude_columns(rho)
-    s, O, lam, _ = _symmetric_eigh(op)
+    s, O, lam, _ = op.floquet_basis
     if W.ndim == 1:
         # O^T diag(s^-1 W): column k of O^T scaled, with no product
         C = np.multiply(O.T, s.conj() * W, order="C")

@@ -290,6 +290,11 @@ def narrow_packet(basis, center, width, seed):
     return psi / np.linalg.norm(psi)
 
 
+def anti_zeno_map(rho):
+    """Projective momentum measurement: keep the diagonal, zero the rest."""
+    return np.diag(np.diag(rho))
+
+
 def _wrap_q(q_total):
     q_new = (q_total + 0.5) % 1.0 - 0.5
     return int(round(q_total - q_new)), q_new

@@ -167,7 +167,9 @@ K = 80, 120
 
 
 def test_sweep_files_do_not_depend_on_workers(tmp_path):
-    path = _write_config(tmp_path, """
+    # a classical sweep over K, and quantum-side runs on one system, whose
+    # threads share its period operator and Floquet basis
+    classical = """
 [system]
 K = 80, 180, 280
 
@@ -176,16 +178,29 @@ mode = classical
 kicks = 12
 ensemble = 1000
 seed = 2
-""")
-    results = {}
-    for workers in (1, 2):
-        root = tmp_path / f"w{workers}"
-        runs = sweep(load_sweep(path), root, workers=workers)
-        results[workers] = (
-            {name: manifest.files for name, manifest, _ in runs},
-            (root / "flux_vs_K.csv").read_bytes())
-    assert len(results[1][0]) == 3
-    assert results[2] == results[1]
+"""
+    quantum = """
+[system]
+K = 180
+
+[run]
+mode = quantum, floquet, wigner
+decoherence = none, anti-zeno
+kicks = 3
+basis_size = 128
+"""
+    for body, count, table in ((classical, 3, "flux_vs_K.csv"),
+                               (quantum, 6, "strangeness.csv")):
+        path = _write_config(tmp_path, body, name=table + ".ini")
+        results = {}
+        for workers in (1, 2):
+            root = tmp_path / f"{table}_w{workers}"
+            runs = sweep(load_sweep(path), root, workers=workers)
+            results[workers] = (
+                {name: manifest.files for name, manifest, _ in runs},
+                (root / table).read_bytes())
+        assert len(results[1][0]) == count
+        assert results[2] == results[1]
 
 
 def test_sweep_requires_pairs(tmp_path):
@@ -346,6 +361,10 @@ def test_package_exports_its_public_names():
     assert not hasattr(dkrotor.decoherence, "spontaneous_emission_map")
     assert "hbar" not in inspect.signature(dkrotor.decompose).parameters
     assert not hasattr(dkrotor.OperatorCache, "tail_phases")
+    # the anti-Zeno projection is inlined where it acts; its oracle lives
+    # in tests/helpers.py
+    assert not hasattr(dkrotor, "anti_zeno_map")
+    assert not hasattr(dkrotor.decoherence, "anti_zeno_map")
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -396,6 +415,48 @@ def test_coherent_wigner_skips_the_kick_loop(tmp_path, monkeypatch):
     run(ExperimentSpec(mode="wigner", K=80.0, kicks=4, eta=0.05,
                        decoherence="emission", out=str(tmp_path / "emission")))
     assert models == [dkrotor.EmissionModel(eta=0.05)]
+
+
+def test_consecutive_runs_share_one_period_operator(tmp_path, monkeypatch):
+    # quantum in three channels, floquet and wigner on one system build
+    # its operator once, solve its Floquet basis once and form U+ U once,
+    # and write the same bytes as runs that each build their own
+    counts = dict.fromkeys(("build", "eigensolve", "defect"), 0)
+
+    def spy(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(cli, "build_period_operator", "build")
+    spy(dkrotor.quantum, "_symmetric_eigh", "eigensolve")
+    spy(dkrotor.quantum, "unitarity_defect", "defect")
+    runs = [("quantum", "none"), ("quantum", "emission"),
+            ("quantum", "anti-zeno"), ("floquet", "none"), ("wigner", "none")]
+
+    def data_files(root, shared):
+        files = {}
+        for mode, deco in runs:
+            if not shared:
+                cli._period_operator.cache_clear()
+            out = root / f"{mode}_{deco}"
+            manifest = run(ExperimentSpec(
+                mode=mode, decoherence=deco, eta=0.05, K=280.0, kicks=4,
+                basis_size=128, out=str(out)))
+            files.update({f"{out.name}/{name}": (out / name).read_bytes()
+                          for name in manifest.files})
+        return files
+
+    cli._period_operator.cache_clear()
+    shared = data_files(tmp_path / "shared", shared=True)
+    assert counts == {"build": 1, "eigensolve": 1, "defect": 1}
+    assert len(shared) == 14
+    assert data_files(tmp_path / "fresh", shared=False) == shared
+    assert counts["build"] == 6
 
 
 @pytest.mark.parametrize("sigma_p,flagged", [(dkrotor.KickConfig.sigma_p,

@@ -5,12 +5,12 @@ import pytest
 
 from dkrotor import decoherence
 from dkrotor.decoherence import (EmissionModel, MCResult, OperatorCache,
-                                 _emission_map_into, _wrap_q, anti_zeno_map,
+                                 _emission_map_into, _wrap_q,
                                  mc_wavefunction_run, run_decohered)
 from dkrotor.pulses import KickConfig
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
                              evolve_density, initial_density)
-from helpers import mc_reference
+from helpers import anti_zeno_map, mc_reference
 
 BASIS = MomentumBasis()
 

@@ -1,5 +1,7 @@
 """Truncated-ladder period operator and density evolution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -35,6 +37,27 @@ def test_period_operator_unitary(K, q):
     basis = MomentumBasis(q=q)
     op = build_period_operator(KickConfig(K=K), basis)
     assert unitarity_defect(op.U) < 1e-10
+
+
+def test_operator_arrays_are_read_only_and_replace_solves_afresh():
+    # one operator serves several pipelines, so nothing may write into
+    # the arrays behind its kept Floquet basis and defect
+    op = build_period_operator(KickConfig(K=180.0), BASIS)
+    s, O, lam, _ = op.floquet_basis
+    for a in (op.U, op.tail, op.pulse_energies, op.pulse_vectors, s, O, lam):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert op.floquet_basis is op.floquet_basis
+    assert op.unitarity_defect == unitarity_defect(op.U)
+    # a replaced U gets its own basis and defect, not the source's
+    other = build_period_operator(KickConfig(K=280.0), BASIS)
+    swapped = replace(op, U=other.U)
+    np.testing.assert_array_equal(swapped.floquet_basis[1],
+                                  other.floquet_basis[1])
+    np.testing.assert_array_equal(swapped.floquet_basis[2],
+                                  other.floquet_basis[2])
+    assert not np.array_equal(swapped.floquet_basis[2], lam)
+    assert swapped.unitarity_defect == other.unitarity_defect
 
 
 def test_zero_coupling_period_is_free():
