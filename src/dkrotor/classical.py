@@ -38,7 +38,6 @@ from .pulses import TWO_PI, KickConfig, barrier
 # read only by perfbench's tracer, to label points; ROADMAP item 1 drops both
 SEPARATRIX_BAND = 1e-9
 
-HISTOGRAM_SPAN = 35.0 * np.pi
 HISTOGRAM_BINS = 128
 
 
@@ -220,22 +219,27 @@ def sample_initial(cfg: KickConfig, n: int, seed=None) -> ClassicalEnsemble:
     return ClassicalEnsemble(phi=phi, p=p)
 
 
-def momentum_bin_edges():
-    return np.linspace(-HISTOGRAM_SPAN, HISTOGRAM_SPAN, HISTOGRAM_BINS + 1)
+def momentum_bin_edges(cantorus: float = barrier(KickConfig(K=0.0)).cantorus):
+    """Bins over |p| <= 3.5 p_b, p_b = barrier(cfg).cantorus, so +-35 pi
+    at the default drive; the default serves only perfbench's
+    check_confinement, which reads that drive's edges, and ROADMAP
+    item 1 deletes it."""
+    return np.linspace(-3.5 * cantorus, 3.5 * cantorus, HISTOGRAM_BINS + 1)
 
 
 def propagate_ensemble(ensemble: ClassicalEnsemble, cfg: KickConfig,
                        kicks: int) -> PropagationResult:
-    """Propagate through `kicks` cycles, recording histograms and the
-    fraction beyond the drive's cantorus (pulses.barrier) after every
-    kick (row 0 is the initial state).
+    """Propagate through `kicks` cycles, recording histograms over
+    momentum_bin_edges of the drive's cantorus (pulses.barrier), which
+    leave out a point beyond them, the fraction beyond that cantorus and
+    max |p| after every kick (row 0 is the initial state).
 
     The ensemble is updated in place.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
-    edges = momentum_bin_edges()
     cantorus = barrier(cfg).cantorus
+    edges = momentum_bin_edges(cantorus)
     n = len(ensemble)
     counts = np.empty((kicks + 1, HISTOGRAM_BINS), dtype=np.int64)
     outside = np.empty(kicks + 1)

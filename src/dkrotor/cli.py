@@ -28,6 +28,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
@@ -116,15 +117,13 @@ def _field(key: str) -> str:
 
 
 def _fmt(x) -> str:
-    """17 significant digits for floats, enough to round-trip though not
-    always the shortest (0.1 is written 0.10000000000000001); integers
-    and strings pass through, bools are written true/false."""
+    """17 significant digits, enough to round-trip though not always the
+    shortest (0.1 is written 0.10000000000000001), so an integer below
+    2^53 reads as itself; strings pass through, bools read true/false."""
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 
@@ -200,7 +199,9 @@ def validate(spec: ExperimentSpec) -> None:
     The drive, its barrier, the ladder and the emission parameters are
     checked by building the library objects; each of their messages
     begins with the parameter it rejects.  A mode with a momentum ladder
-    needs it to reach the torus at 3 p_b.
+    needs it to reach the torus at 3 p_b.  Whether a classical run puts
+    a point beyond its histogram (run then warns or refuses) depends on
+    the sample, so validate cannot tell.
     """
     if spec.mode not in _MODE_RUNNERS:
         raise SpecError("run.mode",
@@ -282,10 +283,25 @@ def _run_classical(spec):
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
     result = propagate_ensemble(ensemble, cfg, spec.kicks)
     hist = result.histogram
-    yield "momentum_histogram.csv", (
-        _kick_header("p", spec.kicks),
-        np.column_stack([hist.bin_centers, hist.counts.T]),
-        [_G] + [_D] * (spec.kicks + 1))
+    lost = spec.ensemble - hist.counts.sum(axis=1)
+    t = int(np.argmax(lost > 0))
+    loss = (f"{lost[t]} of {spec.ensemble} points lie beyond the histogram "
+            f"|p| <= {hist.bin_edges[-1] / np.pi:g} pi at kick {t}, "
+            f"max |p| = {result.max_abs_p[t] / np.pi:.4g} pi")
+    if lost[0]:
+        # a start wider than the window: the outside fraction and its fit
+        # do not read the window, so only the histogram is left out
+        warnings.warn(f"{_field('sigma_p')}: {loss}; "
+                      "momentum_histogram.csv is not written", stacklevel=2)
+    elif t:
+        # the drive broke the torus at 3 p_b, and with it the
+        # three-region model that the fit assumes
+        raise SpecError(_field("K"), loss)
+    else:
+        yield "momentum_histogram.csv", (
+            _kick_header("p", spec.kicks),
+            np.column_stack([hist.bin_centers, hist.counts.T]),
+            [_G] + [_D] * (spec.kicks + 1))
     yield "outside_fraction.csv", _outside(result.outside_fraction)
     if len(result.outside_fraction) >= 10:
         fit = fit_flux(cfg, result.outside_fraction)
@@ -300,18 +316,21 @@ def _channel(spec):
 
 
 @lru_cache(maxsize=1)
-def _period_operator(cfg: KickConfig, basis: MomentumBasis):
+def _period_operator(K: float, alpha: float, delta: float,
+                     basis: MomentumBasis):
     """build_period_operator, kept for the next run: consecutive runs on
-    one system share the operator, with the Floquet basis and unitarity
-    defect it keeps, at a cost of about 8 MiB held at N = 512.  The
-    module name is looked up per build, so a wrapper on it sees each one.
+    one drive and ladder share the operator, with the Floquet basis and
+    unitarity defect it keeps, at a cost of about 8 MiB held at N = 512.
+    U does not depend on sigma_p, so op.config.sigma_p is not the run's.
+    The module name is looked up per build, so a wrapper sees each one.
     """
-    return build_period_operator(cfg, basis)
+    return build_period_operator(
+        KickConfig(K=K, alpha=alpha, delta=delta, hbar=basis.hbar), basis)
 
 
 def _run_quantum(spec):
-    op = _period_operator(spec.kick_config(), spec.basis())
-    result = run_decohered(initial_density(op.config, op.basis), op,
+    op = _period_operator(spec.K, spec.alpha, spec.delta, spec.basis())
+    result = run_decohered(initial_density(spec.kick_config(), op.basis), op,
                            _channel(spec), spec.kicks)
     yield "momentum_distribution.csv", _distributions(op.basis,
                                                       result.distributions)
@@ -328,7 +347,7 @@ def _run_quantum(spec):
 
 def _run_floquet(spec):
     basis = spec.basis()
-    dec = decompose(_period_operator(spec.kick_config(), basis))
+    dec = decompose(_period_operator(spec.K, spec.alpha, spec.delta, basis))
     order = np.argsort(dec.quasi_energies)
     yield "quasi_energies.csv", (
         ("state", "quasi_energy"),
@@ -347,8 +366,8 @@ def _run_floquet(spec):
 
 
 def _run_wigner(spec):
-    op = _period_operator(spec.kick_config(), spec.basis())
-    rho = initial_density(op.config, op.basis)
+    op = _period_operator(spec.K, spec.alpha, spec.delta, spec.basis())
+    rho = initial_density(spec.kick_config(), op.basis)
     model = _channel(spec)
     # only the final state is read, so coherent runs skip the kicks
     # between; rebinding rho frees the initial state before the transform
@@ -387,7 +406,7 @@ def _run_compare(spec):
     basis = spec.basis()
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
     classical = propagate_ensemble(ensemble, cfg, spec.kicks).outside_fraction
-    op = _period_operator(cfg, basis)
+    op = _period_operator(spec.K, spec.alpha, spec.delta, basis)
     rho0 = initial_density(cfg, basis)
     channels = (("coherent", None), ("eta_002", EmissionModel(eta=0.02)),
                 ("eta_005", EmissionModel(eta=0.05)), ("anti_zeno", ANTI_ZENO))

@@ -31,8 +31,10 @@ class KickConfig:
 
     K is the kick strength, alpha the total on-fraction of the period
     (each pulse lasts alpha/2), delta the separation between the leading
-    edges of the two pulses.  hbar and sigma_p ride along here because
-    every layer of the simulation needs them together.
+    edges of the two pulses.  sigma_p is the momentum width of the
+    initial ensembles (classical.sample_initial, quantum.initial_density).
+    hbar is validated here, but the library reads hbar from
+    quantum.MomentumBasis; ROADMAP item 1 keeps one of the two.
     """
 
     K: float

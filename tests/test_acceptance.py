@@ -355,14 +355,14 @@ def test_criterion_11_wigner_suite(quantum_ops):
     # coarse-graining conventions behind the targets are not recorded
     # here, so the clauses stay as frozen.
     cal = calibrate_packet_width(BASIS)
-    rel_m = abs(cal.S_mixed - 0.1765) / 0.1765
-    rel_s = abs(cal.S_superposed - 0.7647) / 0.7647
-    rel_r = abs(cal.ratio - 4.33) / 4.33
-    clauses.append((rel_m <= 0.02,
+    rel_m = (cal.S_mixed - 0.1765) / 0.1765
+    rel_s = (cal.S_superposed - 0.7647) / 0.7647
+    rel_r = (cal.ratio - 4.33) / 4.33
+    clauses.append((abs(rel_m) <= 0.02,
                     f"S_mixed={cal.S_mixed:.4f} vs 0.1765 ({rel_m:+.1%})"))
-    clauses.append((rel_s <= 0.02,
+    clauses.append((abs(rel_s) <= 0.02,
                     f"S_sup={cal.S_superposed:.4f} vs 0.7647 ({rel_s:+.1%})"))
-    clauses.append((rel_r <= 0.05,
+    clauses.append((abs(rel_r) <= 0.05,
                     f"ratio={cal.ratio:.4f} vs 4.33 ({rel_r:+.1%})"))
     _emit(11, clauses)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ellipj, erfc
 
-from dkrotor.classical import (HISTOGRAM_BINS, HISTOGRAM_SPAN, PhasePoint,
-                               _jacobi, free_step, kick_cycle,
+from dkrotor.classical import (HISTOGRAM_BINS, PhasePoint, _jacobi,
+                               free_step, kick_cycle,
                                momentum_bin_edges, pendulum_step,
                                propagate_ensemble, sample_initial)
-from dkrotor.pulses import TWO_PI, KickConfig
+from dkrotor.pulses import TWO_PI, KickConfig, barrier
 from helpers import circular_distance, classical_cycle_oracle, pendulum_oracle
 
 
@@ -243,7 +243,7 @@ def test_propagation_bookkeeping():
     tail = 2.0 * norm.sf(10.0 * np.pi / cfg.sigma_p)
     assert res.outside_fraction[0] == pytest.approx(tail, abs=0.0065)
     edges = res.histogram.bin_edges
-    assert edges[0] == -HISTOGRAM_SPAN and edges[-1] == HISTOGRAM_SPAN
+    assert edges[0] == -35.0 * np.pi and edges[-1] == 35.0 * np.pi
     assert res.histogram.bin_centers.shape == (HISTOGRAM_BINS,)
 
 
@@ -278,10 +278,25 @@ def test_propagation_deterministic():
 
 
 def test_momentum_bin_edges():
-    edges = momentum_bin_edges()
+    # 3.5 p_b: at the default drive +-35 pi bit for bit, by default or
+    # from barrier; at delta = 1/6 the cantorus is 6 pi
+    default = np.linspace(-35.0 * np.pi, 35.0 * np.pi, HISTOGRAM_BINS + 1)
+    for edges in (momentum_bin_edges(),
+                  momentum_bin_edges(barrier(KickConfig(K=280.0)).cantorus)):
+        assert edges.tobytes() == default.tobytes()
+    edges = momentum_bin_edges(barrier(KickConfig(K=0.0, delta=1.0 / 6.0))
+                               .cantorus)
     assert edges.shape == (HISTOGRAM_BINS + 1,)
-    assert edges[0] == -35.0 * np.pi
-    assert edges[-1] == 35.0 * np.pi
+    assert edges[0] == -3.5 * 6.0 * np.pi and edges[-1] == 3.5 * 6.0 * np.pi
+
+
+def test_histogram_keeps_every_point_of_a_wider_drive():
+    # at alpha = delta = 0.05 the cantorus is 20 pi and the torus 60 pi;
+    # a +-35 pi window lost 30% of this ensemble by kick 70
+    cfg = KickConfig(K=1000.0, alpha=0.05, delta=0.05, sigma_p=10.0 * np.pi)
+    res = propagate_ensemble(sample_initial(cfg, 20000, seed=1), cfg, 70)
+    assert np.all(res.histogram.counts.sum(axis=1) == 20000)
+    assert res.histogram.bin_edges[-1] == 70.0 * np.pi
 
 
 def test_validation_errors():

@@ -1,5 +1,6 @@
 """Config parsing, experiment pipelines, manifests, sweeps."""
 
+import ast
 import dataclasses
 import hashlib
 import inspect
@@ -365,6 +366,33 @@ def test_package_exports_its_public_names():
     # in tests/helpers.py
     assert not hasattr(dkrotor, "anti_zeno_map")
     assert not hasattr(dkrotor.decoherence, "anti_zeno_map")
+    # the histogram's window is derived from the drive's barrier
+    assert not hasattr(dkrotor.classical, "HISTOGRAM_SPAN")
+
+
+def test_names_perfbench_reaches_exist():
+    # nothing runs perfbench/reference.py, and the tracer binds call
+    # arguments by name, so a rename in dkrotor breaks either silently
+    reference = Path(__file__).resolve().parents[1] / "perfbench/reference.py"
+    imported = [alias.name for node in ast.walk(ast.parse(
+                    reference.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "dkrotor" for alias in node.names]
+    assert imported
+    for name in imported:
+        assert hasattr(dkrotor, name), name
+    assert hasattr(dkrotor.classical, "SEPARATRIX_BAND")
+    assert callable(dkrotor.decoherence.OperatorCache.operator)
+    for fn, names in ((dkrotor.kick_cycle, {"s"}),
+                      (dkrotor.pendulum_step, {"s", "w", "K"}),
+                      (dkrotor.evolve_density, {"op", "kicks"}),
+                      (dkrotor.run_decohered, {"model", "op", "kicks"}),
+                      (dkrotor.decompose, {"U"}),
+                      (dkrotor.mc_wavefunction_run,
+                       {"model", "kicks", "realizations"})):
+        assert names <= set(inspect.signature(fn).parameters), fn.__name__
+    # check_confinement's momentum_bin_edges() is pinned to +-35 pi by
+    # test_momentum_bin_edges
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -459,6 +487,42 @@ def test_consecutive_runs_share_one_period_operator(tmp_path, monkeypatch):
     assert counts["build"] == 6
 
 
+def test_runs_that_differ_in_sigma_p_share_one_period_operator(
+        tmp_path, monkeypatch):
+    # U does not depend on sigma_p: quantum runs that vary it alone build
+    # one operator, and each reads its start from its own spec
+    builds = []
+    build = cli.build_period_operator
+
+    def counted(cfg, basis):
+        builds.append(cfg)
+        return build(cfg, basis)
+
+    monkeypatch.setattr(cli, "build_period_operator", counted)
+
+    def data_files(root, shared):
+        files = {}
+        for i, sigma_p in enumerate((11.31, 12.0, 11.31)):
+            if not shared:
+                cli._period_operator.cache_clear()
+            out = root / f"run{i}"
+            manifest = run(ExperimentSpec(
+                mode="quantum", K=280.0, sigma_p=sigma_p, kicks=4,
+                basis_size=128, out=str(out)))
+            files.update({f"{out.name}/{name}": (out / name).read_bytes()
+                          for name in manifest.files})
+        return files
+
+    cli._period_operator.cache_clear()
+    shared = data_files(tmp_path / "shared", shared=True)
+    assert len(builds) == 1
+    name = "momentum_distribution.csv"
+    assert shared[f"run0/{name}"] == shared[f"run2/{name}"]
+    assert shared[f"run0/{name}"] != shared[f"run1/{name}"]
+    assert data_files(tmp_path / "fresh", shared=False) == shared
+    assert len(builds) == 4
+
+
 @pytest.mark.parametrize("sigma_p,flagged", [(dkrotor.KickConfig.sigma_p,
                                               False), (200.0, True)])
 def test_operator_diagnostics_flag_edge_population(tmp_path, sigma_p,
@@ -497,6 +561,45 @@ def test_run_cleans_partial_outputs_on_failure(tmp_path, monkeypatch):
     assert not (out / "momentum_histogram.csv").exists()
     assert not (out / "outside_fraction.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("K,ensemble", [(1500, 2000), (500, 20_000)])
+def test_run_refuses_a_drive_that_carries_points_beyond_the_histogram(
+        tmp_path, capsys, K, ensemble):
+    # the torus at 30 pi has broken: points leave the +-35 pi histogram
+    # from kick 2 at K = 1500, whose fit crashed on the crop, and from
+    # kick 51 at K = 500 (seed 1)
+    out = tmp_path / "lossy"
+    path = _write_config(tmp_path, f"""
+[system]
+K = {K}
+
+[run]
+mode = classical
+kicks = 70
+ensemble = {ensemble}
+seed = 1
+out = {out}
+""")
+    assert main(["run", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("invalid-spec", "system.K")
+    assert "35 pi" in err["message"] and "max |p|" in err["message"]
+    assert list(out.iterdir()) == []
+
+
+def test_run_leaves_out_the_histogram_of_a_start_beyond_it(tmp_path):
+    # at the default drive, sigma_p = 10 pi puts 11 of 2e4 points beyond
+    # +-35 pi at kick 0; the outside fraction and its fit are still written
+    out = tmp_path / "wide"
+    spec = ExperimentSpec(mode="classical", sigma_p=10.0 * np.pi, kicks=10,
+                          ensemble=20_000, seed=1, out=str(out))
+    with pytest.warns(UserWarning, match=r"^system\.sigma_p: 11 of 20000 "
+                      r"points .* 35 pi at kick 0, max \|p\|"):
+        manifest = run(spec)
+    assert sorted(manifest.files) == ["flux_fit.json", "outside_fraction.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "flux_fit.json", "manifest.json", "outside_fraction.csv"]
 
 
 def test_sweep_isolates_failures(tmp_path, monkeypatch):
