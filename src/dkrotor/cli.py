@@ -40,7 +40,7 @@ import numpy as np
 from .classical import propagate_ensemble, sample_initial
 from .decoherence import (ANTI_ZENO, DEFAULT_REALIZATIONS, EmissionModel,
                           mc_wavefunction_run, run_decohered)
-from .diffusion import fit_flux
+from .diffusion import OUTSIDE_FRACTION_MAX, fit_flux
 from .floquet import asymptotic_matrix, decompose
 from .pulses import KickConfig, barrier
 from .quantum import (EDGE_POPULATION_MAX, MomentumBasis,
@@ -200,8 +200,9 @@ def validate(spec: ExperimentSpec) -> None:
     checked by building the library objects; each of their messages
     begins with the parameter it rejects.  A mode with a momentum ladder
     needs it to reach the torus at 3 p_b.  Whether a classical run puts
-    a point beyond its histogram (run then warns or refuses) depends on
-    the sample, so validate cannot tell.
+    a point beyond its histogram (run then warns or refuses), or its
+    outside fraction beyond what the flux fit accepts (run refuses),
+    depends on the sample, so validate cannot tell.
     """
     if spec.mode not in _MODE_RUNNERS:
         raise SpecError("run.mode",
@@ -288,23 +289,33 @@ def _run_classical(spec):
     loss = (f"{lost[t]} of {spec.ensemble} points lie beyond the histogram "
             f"|p| <= {hist.bin_edges[-1] / np.pi:g} pi at kick {t}, "
             f"max |p| = {result.max_abs_p[t] / np.pi:.4g} pi")
+    if t:
+        # the drive broke the torus at 3 p_b, and with it the
+        # three-region model that the fit assumes
+        raise SpecError(_field("K"), loss)
+    outside = result.outside_fraction
+    fitted = len(outside) >= 10
+    t = int(np.argmax(outside > OUTSIDE_FRACTION_MAX))
+    if fitted and outside[t] > OUTSIDE_FRACTION_MAX:
+        # over the fit's bound from the start the ensemble is too wide;
+        # reaching it later, the drive carries it past the model
+        raise SpecError(_field("K" if t else "sigma_p"),
+                        f"outside fraction {outside[t]:.4g} at kick {t} "
+                        f"exceeds {OUTSIDE_FRACTION_MAX:.4g}, the largest "
+                        "the three-region flux fit accepts")
     if lost[0]:
         # a start wider than the window: the outside fraction and its fit
         # do not read the window, so only the histogram is left out
         warnings.warn(f"{_field('sigma_p')}: {loss}; "
                       "momentum_histogram.csv is not written", stacklevel=2)
-    elif t:
-        # the drive broke the torus at 3 p_b, and with it the
-        # three-region model that the fit assumes
-        raise SpecError(_field("K"), loss)
     else:
         yield "momentum_histogram.csv", (
             _kick_header("p", spec.kicks),
             np.column_stack([hist.bin_centers, hist.counts.T]),
             [_G] + [_D] * (spec.kicks + 1))
-    yield "outside_fraction.csv", _outside(result.outside_fraction)
-    if len(result.outside_fraction) >= 10:
-        fit = fit_flux(cfg, result.outside_fraction)
+    yield "outside_fraction.csv", _outside(outside)
+    if fitted:
+        fit = fit_flux(cfg, outside)
         yield "flux_fit.json", {**asdict(fit), "K": spec.K}
 
 

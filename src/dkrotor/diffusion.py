@@ -26,6 +26,10 @@ from .pulses import KickConfig, barrier
 # points this close to equilibrium carry no slope information
 EQUILIBRIUM_CUTOFF = np.exp(-3.0)
 
+# largest outside fraction fit_flux accepts: the chain relaxes to 2/3
+# from below, and the margin admits the sampling noise of an ensemble
+OUTSIDE_FRACTION_MAX = 2.0 / 3.0 + 0.05
+
 DEFAULT_WINDOW = (5, 50)
 MIN_USABLE_POINTS = 5
 
@@ -69,7 +73,7 @@ def fit_flux(cfg: KickConfig, series, window=DEFAULT_WINDOW) -> DiffusionFit:
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or series.size < 10:
         raise ValueError("series must be one-dimensional with >= 10 entries")
-    if np.any(series < -1e-9) or np.any(series > 2.0 / 3.0 + 0.05):
+    if np.any(series < -1e-9) or np.any(series > OUTSIDE_FRACTION_MAX):
         raise ValueError("series values must be probabilities below ~2/3")
 
     t_lo, t_hi = window

@@ -21,19 +21,16 @@ with V real.  This time-reversal structure gives U_s a real orthogonal
 eigenbasis O, found by one real symmetric eigensolve of its Cayley
 transform (see _symmetric_eigh).
 
-Coherent evolution never forms U rho U+.  The density matrix is
-factored once into amplitude columns, rho = W W+, with columns
-V_m sqrt(lambda_m) from its eigendecomposition.  A diagonal rho, such as
-initial_density, is its own eigendecomposition: W = diag(sqrt(rho_nn)),
-with no eigensolve.  Then rho_t = W_t W_t+ with
-W_t = U^t W = s O C_t, C_t = lambda^t * C and C = O^T s^-1 W.  The
-momentum distribution reads the Floquet-frame density G_t = C_t C_t+:
-with |s| = 1 and O real, diag(rho_t) = diag(O R_t O^T) for the real
-symmetric R_t = Re G_t, so each kick is one elementwise phase turn of G
-and one real N x N product O @ R_t, 2 N^3 flops.  The final state, and
-the whole of density_after, forms lambda^T * C at once and makes only
-the last kick's product.  The outside fraction is the probability
-beyond the drive's cantorus (pulses.barrier).
+Coherent evolution never forms U rho U+.  The density matrix is taken
+once into the Floquet frame, G = O^T s^-1 rho s O; for a diagonal rho,
+such as initial_density, that is the real O^T diag(rho) O.  There
+rho_t = U^t rho U+^t = s O G_t O^T s^-1 with G_t = G * (lambda^t
+lambda+^t) elementwise.  With |s| = 1 and O real,
+diag(rho_t) = diag(O R_t O^T) for the real symmetric R_t = Re G_t, so
+each kick is one elementwise phase turn of G and one real N x N product
+O @ R_t, 2 N^3 flops.  The final state is G_T taken back once, and
+density_after turns G by all T kicks at once.  The outside fraction is
+the probability beyond the drive's cantorus (pulses.barrier).
 """
 
 from __future__ import annotations
@@ -255,14 +252,13 @@ def _is_diagonal(rho: np.ndarray) -> bool:
     return np.count_nonzero(rho) == np.count_nonzero(np.diagonal(rho))
 
 
-def _amplitude_columns(rho: np.ndarray) -> np.ndarray:
-    """W with rho = W W+, from the eigendecomposition of rho.
+def _into_frame(rho: np.ndarray, op: PeriodOperator) -> np.ndarray:
+    """G = O^T s^-1 rho s O, the density matrix rho in the Floquet frame
+    of op.
 
-    Column m is sqrt(lambda_m) times eigenvector m.  A diagonal rho has
-    the unit vectors for eigenvectors, so no eigensolve is made and W is
-    returned as the 1-D sqrt(diag rho), standing for diag(W).  rho must
-    be Hermitian and positive semidefinite to DENSITY_TOL; eigenvalues
-    inside the tolerance below 0 count as 0.
+    rho must be Hermitian and positive semidefinite to DENSITY_TOL.  A
+    diagonal rho is judged by its diagonal alone, with no eigensolve, and
+    commutes with s, so its G is the real O^T diag(rho) O.
     """
     d = np.diagonal(rho)
     diagonal = _is_diagonal(rho)
@@ -272,55 +268,42 @@ def _amplitude_columns(rho: np.ndarray) -> np.ndarray:
     if skew > DENSITY_TOL:
         raise ValueError(f"rho must be Hermitian, max |rho - rho+| = "
                          f"{skew:.3g}")
-    lam, V = (d.real, None) if diagonal else np.linalg.eigh(rho)
+    lam = d.real if diagonal else np.linalg.eigvalsh(rho)
     if lam.min() < -DENSITY_TOL:
         raise ValueError(f"rho must be positive semidefinite, smallest "
                          f"eigenvalue {lam.min():.3g}")
-    root = np.sqrt(np.maximum(lam, 0.0))
-    return root if diagonal else V * root
+    s, O, _, _ = op.floquet_basis
+    if diagonal:
+        return ((O.T * d.real) @ O).astype(complex)
+    B = _real_matmul(O.T, s.conj()[:, None] * rho * s)
+    # B O as (O^T B^T)^T, so O stays real; C order for the kick loop
+    return np.ascontiguousarray(_real_matmul(O.T, B.T).T)
 
 
-def _floquet_columns(rho: np.ndarray, op: PeriodOperator) -> tuple:
-    """(s, O, lambda, C) for the coherent evolution of rho under op:
-    the frame, Floquet basis and eigenphases of op.floquet_basis, and the
-    amplitude columns of rho in that basis, C = O^T s^-1 W."""
-    W = _amplitude_columns(rho)
-    s, O, lam, _ = op.floquet_basis
-    if W.ndim == 1:
-        # O^T diag(s^-1 W): column k of O^T scaled, with no product
-        C = np.multiply(O.T, s.conj() * W, order="C")
-    else:
-        C = _real_matmul(O.T, s.conj()[:, None] * W)
-    return s, O, lam, C
-
-
-def _final_density(s: np.ndarray, O: np.ndarray, lam: np.ndarray,
-                   C: np.ndarray, kicks: int) -> np.ndarray:
-    """rho after `kicks` cycles from the Floquet columns C of rho, which
-    are overwritten: C_T = lambda^T * C, W_T = s O C_T, rho_T = W_T W_T+."""
-    C *= (lam**kicks)[:, None]
-    W = s[:, None] * _real_matmul(O, C)
-    return W @ W.conj().T
+def _out_of_frame(G: np.ndarray, op: PeriodOperator) -> np.ndarray:
+    """rho = s O G O^T s^-1, the inverse of _into_frame."""
+    s, O, _, _ = op.floquet_basis
+    B = _real_matmul(O, G)
+    return s[:, None] * _real_matmul(O, B.T).T * s.conj()
 
 
 def evolve_density(rho: np.ndarray, op: PeriodOperator,
                    kicks: int) -> EvolutionResult:
     """Coherent evolution of rho, recording the diagonal after each kick.
 
-    rho is factored once into amplitude columns W (rho = W W+) and taken
-    into the Floquet basis, C = O^T s^-1 W, whose density G = C C+
-    turns by G_t = G_(t-1) * (lambda lambda+) elementwise each kick.
+    rho is taken once into the Floquet frame, G = O^T s^-1 rho s O,
+    where each kick turns it elementwise, G_t = G_(t-1) * (lambda lambda+).
     With |s| = 1 and O real, the distribution after kick t is
     diag(O G_t O^T) = rowsum((O R_t) * O) with R_t = Re G_t: the
     antisymmetric Im G_t adds nothing to a diagonal.  The final density
-    matrix is density_after's.
+    matrix is the last G taken back, s O G_T O^T s^-1.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
     dists = np.empty((kicks + 1, op.basis.size))
     dists[0] = np.real(np.diag(rho))
-    s, O, lam, C = _floquet_columns(rho, op)
-    G = C @ C.conj().T
+    G = _into_frame(rho, op)
+    _, O, lam, _ = op.floquet_basis
     turn = lam[:, None] * lam.conj()
     R = np.empty(O.shape)
     OR = np.empty(O.shape)
@@ -329,7 +312,7 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
         np.copyto(R, G.real)
         np.dot(O, R, out=OR)
         dists[t] = np.einsum("ij,ij->i", OR, O)
-    return _evolution_result(dists, op, _final_density(s, O, lam, C, kicks))
+    return _evolution_result(dists, op, _out_of_frame(G, op))
 
 
 def density_after(rho: np.ndarray, op: PeriodOperator,
@@ -337,12 +320,16 @@ def density_after(rho: np.ndarray, op: PeriodOperator,
     """rho after `kicks` coherent cycles of op: evolve_density's
     final_density, with no distribution recorded.
 
-    In the Floquet basis the columns after T kicks are lambda^T * C, so
-    only the last kick's product O C_T is made.
+    In the Floquet frame the T kicks turn G at once, by
+    lambda^T (lambda^T)+, so the only products are those into and out
+    of the frame.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
-    return _final_density(*_floquet_columns(rho, op), kicks)
+    G = _into_frame(rho, op)
+    lam = op.floquet_basis[2]**kicks
+    G *= lam[:, None] * lam.conj()
+    return _out_of_frame(G, op)
 
 
 def unitarity_defect(U: np.ndarray) -> float:

@@ -588,6 +588,32 @@ out = {out}
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("K,sigma_p,field,kick", [
+    (1500, 60, "system.K", 3), (280, 150, "system.sigma_p", 0)])
+def test_run_refuses_an_outside_fraction_beyond_the_fit(
+        tmp_path, capsys, K, sigma_p, field, kick):
+    # both starts lie partly beyond the +-35 pi histogram; the outside
+    # fraction passes 2/3 + 0.05 at kick 3 (0.7345) and at kick 0 (0.8275)
+    out = tmp_path / "over"
+    path = _write_config(tmp_path, f"""
+[system]
+K = {K}
+sigma_p = {sigma_p}
+
+[run]
+mode = classical
+kicks = 70
+ensemble = 2000
+seed = 1
+out = {out}
+""")
+    assert main(["run", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("invalid-spec", field)
+    assert f"at kick {kick} exceeds 0.7167" in err["message"]
+    assert list(out.iterdir()) == []
+
+
 def test_run_leaves_out_the_histogram_of_a_start_beyond_it(tmp_path):
     # at the default drive, sigma_p = 10 pi puts 11 of 2e4 points beyond
     # +-35 pi at kick 0; the outside fraction and its fit are still written

@@ -8,10 +8,10 @@ from scipy.linalg import expm
 
 from dkrotor.decoherence import Q_GRID, OperatorCache
 from dkrotor.pulses import KickConfig
-from dkrotor.quantum import (MomentumBasis, _amplitude_columns,
-                             _time_reversal_frame, build_period_operator,
-                             density_after, edge_population, evolve_density,
-                             initial_density, unitarity_defect)
+from dkrotor.quantum import (MomentumBasis, _time_reversal_frame,
+                             build_period_operator, density_after,
+                             edge_population, evolve_density, initial_density,
+                             unitarity_defect)
 from helpers import narrow_packet, split_operator_period
 
 BASIS = MomentumBasis()
@@ -198,7 +198,7 @@ def test_evolution_bookkeeping():
 
 
 def _dense_evolution(rho, op, kicks):
-    """The U rho U+ loop that evolve_density's amplitude columns replace."""
+    """The U rho U+ loop that evolve_density's Floquet frame replaces."""
     dists = [np.real(np.diag(rho))]
     for _ in range(kicks):
         rho = op.U @ rho @ op.U.conj().T
@@ -267,18 +267,30 @@ def test_density_after_matches_kick_loops(start, q, kicks):
         density_after(rho, op, 0)
 
 
-def test_diagonal_density_is_factored_without_eigensolve():
-    # a diagonal rho comes back as the 1-D sqrt of its diagonal, standing
-    # for diag(W); any coherence takes the eigendecomposition
+def test_diagonal_density_enters_the_frame_without_eigensolve(monkeypatch):
+    # a diagonal rho is checked by its diagonal and needs no eigensolve;
+    # any coherence takes exactly one, for its eigenvalues
     cfg = KickConfig(K=280.0)
+    op = build_period_operator(cfg, BASIS)
+    op.floquet_basis
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, real=real, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
     rho = initial_density(cfg, BASIS)
-    W = _amplitude_columns(rho)
-    assert W.shape == (128,)
-    np.testing.assert_array_equal(W, np.sqrt(np.real(np.diag(rho))))
+    evolve_density(rho, op, 3)
+    density_after(rho, op, 3)
+    assert calls == []
     rho[64, 65] = rho[65, 64] = 1e-3
-    W = _amplitude_columns(rho)
-    assert W.shape == (128, 128)
-    np.testing.assert_allclose(W @ W.conj().T, rho, rtol=0, atol=1e-15)
+    evolve_density(rho, op, 3)
+    assert len(calls) == 1
+    density_after(rho, op, 3)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("K", [0.0, 280.0])
@@ -329,7 +341,11 @@ def test_evolve_density_rejects_non_density_matrix():
     noisy = rho.copy()
     noisy[0, 0] = -1e-14
     noisy[0, 1] = 1e-14j
-    evolve_density(noisy, op, 3)
+    res = evolve_density(noisy, op, 3)
+    # weights of tolerance size are carried, not clipped to 0
+    np.testing.assert_allclose(res.distributions,
+                               _dense_evolution(noisy, op, 3)[0], rtol=0,
+                               atol=1e-13)
 
 
 def test_truncation_converged_at_default_size():
