@@ -279,8 +279,9 @@ def _distributions(basis, dists):
             [_D] + [_G] * (kicks + 2))
 
 
-def _run_classical(spec):
-    cfg = spec.kick_config()
+def _propagate(spec, cfg):
+    """spec's ensemble after each kick, and the message on a start beyond
+    the histogram or None; a loss after kick 0 (a broken torus) is refused."""
     ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
     result = propagate_ensemble(ensemble, cfg, spec.kicks)
     hist = result.histogram
@@ -290,9 +291,14 @@ def _run_classical(spec):
             f"|p| <= {hist.bin_edges[-1] / np.pi:g} pi at kick {t}, "
             f"max |p| = {result.max_abs_p[t] / np.pi:.4g} pi")
     if t:
-        # the drive broke the torus at 3 p_b, and with it the
-        # three-region model that the fit assumes
         raise SpecError(_field("K"), loss)
+    return result, loss if lost[0] else None
+
+
+def _run_classical(spec):
+    cfg = spec.kick_config()
+    result, loss = _propagate(spec, cfg)
+    hist = result.histogram
     outside = result.outside_fraction
     fitted = len(outside) >= 10
     t = int(np.argmax(outside > OUTSIDE_FRACTION_MAX))
@@ -303,7 +309,7 @@ def _run_classical(spec):
                         f"outside fraction {outside[t]:.4g} at kick {t} "
                         f"exceeds {OUTSIDE_FRACTION_MAX:.4g}, the largest "
                         "the three-region flux fit accepts")
-    if lost[0]:
+    if loss:
         # a start wider than the window: the outside fraction and its fit
         # do not read the window, so only the histogram is left out
         warnings.warn(f"{_field('sigma_p')}: {loss}; "
@@ -415,8 +421,7 @@ def _run_mc(spec):
 def _run_compare(spec):
     cfg = spec.kick_config()
     basis = spec.basis()
-    ensemble = sample_initial(cfg, spec.ensemble, spec.seed)
-    classical = propagate_ensemble(ensemble, cfg, spec.kicks).outside_fraction
+    classical = _propagate(spec, cfg)[0].outside_fraction
     op = _period_operator(spec.K, spec.alpha, spec.delta, basis)
     rho0 = initial_density(cfg, basis)
     channels = (("coherent", None), ("eta_002", EmissionModel(eta=0.02)),

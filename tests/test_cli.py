@@ -563,19 +563,21 @@ def test_run_cleans_partial_outputs_on_failure(tmp_path, monkeypatch):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("mode", ["classical", "compare"])
 @pytest.mark.parametrize("K,ensemble", [(1500, 2000), (500, 20_000)])
 def test_run_refuses_a_drive_that_carries_points_beyond_the_histogram(
-        tmp_path, capsys, K, ensemble):
+        tmp_path, capsys, K, ensemble, mode):
     # the torus at 30 pi has broken: points leave the +-35 pi histogram
     # from kick 2 at K = 1500, whose fit crashed on the crop, and from
-    # kick 51 at K = 500 (seed 1)
+    # kick 51 at K = 500 (seed 1); compare, whose classical curve reads
+    # the same ensemble, refuses before any quantum work
     out = tmp_path / "lossy"
     path = _write_config(tmp_path, f"""
 [system]
 K = {K}
 
 [run]
-mode = classical
+mode = {mode}
 kicks = 70
 ensemble = {ensemble}
 seed = 1

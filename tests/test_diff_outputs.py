@@ -12,7 +12,8 @@ import diff_outputs  # noqa: E402
 
 
 def test_matrix_configs_are_valid_specs(tmp_path):
-    # every mode and channel at K = 280, and N = 512 quantum and floquet
+    # every mode and channel at K = 280, and N = 512 quantum, floquet
+    # and wigner
     seen = set()
     for name, settings in diff_outputs.MATRIX.items():
         path = tmp_path / f"{name}.ini"
@@ -27,7 +28,8 @@ def test_matrix_configs_are_valid_specs(tmp_path):
             assert (mode, channel, 128) in seen
     assert {"classical", "compare", "floquet", "mc-wavefunction"} <= {
         mode for mode, _, _ in seen}
-    assert {("quantum", "none", 512), ("floquet", "none", 512)} <= seen
+    assert {("quantum", "none", 512), ("floquet", "none", 512),
+            ("wigner", "none", 512)} <= seen
 
 
 def test_split_numbers_keeps_names_and_reads_values():

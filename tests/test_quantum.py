@@ -380,3 +380,8 @@ def test_edge_population_definition():
     dists[2, 12] = 0.5
     dists[2, 15] = 0.125
     assert edge_population(dists) == 0.625
+    # a ladder shorter than 8 states counts each of its states once
+    for size in (4, 6):
+        short = np.zeros((2, size))
+        short[1] = 1.0 / size
+        assert edge_population(short) == pytest.approx(1.0, abs=1e-15)

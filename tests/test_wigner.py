@@ -31,14 +31,13 @@ def _fringed_state():
 def test_grid_geometry_and_normalization():
     rho = initial_density(KickConfig(K=280.0), BASIS)
     g = wigner_transform(rho, BASIS)
-    assert g.raw.shape == (2 * N, 2 * N)
     assert g.coarse.shape == (N, N)
     assert g.norm_constant == pytest.approx(2 * N, rel=1e-12)
     assert g.coarse.sum() == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(g.coarse_momenta, BASIS.momenta)
     np.testing.assert_allclose(g.coarse_positions,
                                2.0 * np.pi * np.arange(N) / N)
-    assert np.isrealobj(g.raw) and np.isrealobj(g.coarse)
+    assert np.isrealobj(g.coarse)
 
 
 def _evolved(basis, kicks=70):
@@ -54,11 +53,13 @@ def _random_density(size, seed):
     return rho / np.trace(rho).real
 
 
-@pytest.mark.parametrize("state,size", [("random", 8), ("random", 16),
-                                        ("real", 16), ("evolved", 128)])
+@pytest.mark.parametrize("state,size", [("random", 2), ("random", 8),
+                                        ("random", 16), ("real", 16),
+                                        ("evolved", 128)])
 def test_grid_matches_direct_sum(state, size):
     # the module-docstring sum, term by term, against the two N-point
-    # FFT blocks and their (-1)^p halves; a real rho is accepted too
+    # FFT blocks folded into cells (at N = 2 one column pair each); a
+    # real rho is accepted too
     basis = MomentumBasis(size=size)
     if state == "evolved":
         rho = _evolved(basis)
@@ -66,15 +67,15 @@ def test_grid_matches_direct_sum(state, size):
         rho = _random_density(size, seed=size)
         if state == "real":
             rho = rho.real
-    raw, coarse = wigner_direct(rho, basis)
+    _, coarse = wigner_direct(rho, basis)
     g = wigner_transform(rho, basis)
-    np.testing.assert_allclose(g.raw, raw, rtol=0, atol=1e-13)
     np.testing.assert_allclose(g.coarse, coarse, rtol=0, atol=1e-15)
 
 
 def test_transform_memory_budget():
-    # the grid is built from N x N blocks: the traced peak stays below
-    # ten copies of rho, of which the real 2N x 2N raw grid is two
+    # the cells are folded from the two N x N blocks: the traced peak
+    # (3.5 copies of rho) stays below four copies, and a real 2N x 2N
+    # array alone would add two
     basis = MomentumBasis(size=256, hbar=1.3)
     rho = _evolved(basis)
     tracemalloc.start()
@@ -83,7 +84,7 @@ def test_transform_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * rho.nbytes
+    assert peak < 4 * rho.nbytes
 
 
 def test_momentum_marginal_is_exact():

@@ -12,8 +12,9 @@ numbers the two files hold, or as differing in its text around those
 numbers.  manifest.json is left out: it records the wall time.
 
 The matrix covers every mode and decoherence channel at K = 280 and the
-default ladder (N = 128), and quantum and floquet runs at N = 512.  It
-uses only the standard library, so it runs against any tree.
+default ladder (N = 128), and quantum, floquet and wigner runs at
+N = 512.  It uses only the standard library, so it runs against any
+tree.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ MATRIX = {
     "quantum-emission-N512": {"mode": "quantum", "decoherence": "emission",
                               "eta": "0.05", **_N512},
     "floquet-N512": {"mode": "floquet", **_N512},
+    "wigner-none-N512": {"mode": "wigner", **_N512},
+    "wigner-emission-N512": {"mode": "wigner", "decoherence": "emission",
+                             "eta": "0.05", **_N512},
 }
 SYSTEM_KEYS = ("K", "alpha", "delta", "hbar", "sigma_p")
 # a number standing alone: not part of a name such as kick_3 or n0_-64
