@@ -377,8 +377,6 @@ def _run_floquet(spec):
         "K": spec.K, "hbar": spec.hbar, "basis_size": spec.basis_size,
         "unitarity_defect": dec.unitarity_defect,
         "reconstruction_residual": dec.reconstruction_residual,
-        "degenerate_clusters": len(dec.degenerate_clusters),
-        "near_cut_gaps": dec.near_cut_gaps,
     }
 
 

@@ -2,81 +2,56 @@
 
 Eigenstates of U ("Floquet states") diagonalize the stroboscopic
 dynamics: U |alpha_j> = exp(-i E_j / hbar) |alpha_j> with E_j defined
-modulo 2*pi*hbar.  Averaged over times long against the inverse of every
-resolved quasi-energy gap, the probability of reaching momentum n from
-n0 loses the phases between distinct eigenvalues and becomes
+modulo 2*pi*hbar.  The eigenbasis comes from one real symmetric
+eigensolve: in its time-reversal frame s the period operator is complex
+symmetric, U = s U_s s^-1, and the Cayley transform of U_s is a real
+symmetric matrix with the same eigenvectors (see quantum._symmetric_eigh),
+so the Floquet states are s O with O real orthogonal.
 
-    P(n|n0) = sum_c |(P_c)[n, n0]|^2,   P_c = sum_{j in c} |alpha_j><alpha_j|,
-
-a doubly stochastic matrix whose structure exposes the transport
-barriers.  The sum runs over the eigenspaces c of U, with angles closer
-than DEGENERACY_ANGLE counted as one eigenspace; P_c does not depend on
-the basis chosen inside it.  The cut acts as a horizon of about 1e10
-kicks: an average over a finite horizon T adds interference from every
-pair whose gap is not well above 2*pi/T, and on the q = 0 ladder parity
-doublets have gaps at every scale down to roundoff.  The eigenbasis
-comes from one real symmetric eigensolve: in its time-reversal frame s
-the period operator is complex symmetric, U = s U_s s^-1, and the Cayley
-transform of U_s is a real symmetric matrix with the same eigenvectors
-(see quantum._symmetric_eigh), so the Floquet states are s O with O real
-orthogonal.
+Averaged over long times, the probability of reaching momentum n from n0
+loses the phases between distinct eigenvalues.  Were every eigenvalue
+simple, that limit would be P P^T with P = |Z|^2, Z the Floquet states
+as columns.  On the q = 0 ladder, though, U commutes with p -> -p, and
+the Floquet states come in parity doublets (e, o) whose gaps run down to
+roundoff: which pairs count as degenerate hinges on a horizon, and each
+doublet counted so adds 2 e_n o_n e_n0 o_n0 to [n, n0], a term odd under
+n -> -n that only moves weight between n and -n (tunneling across
+p = 0).  The asymptotic matrix is therefore the parity average
+S A S = S P P^T S of any such signed limit A, with S = (1 + R) / 2 and
+R the reflection n -> -n on the ladder read as Z_N (rung -N/2 is its own
+image).  The odd terms cancel in it, so it needs no cut and no basis
+chosen inside a doublet.  For a parity-even start d0 it gives S (A d0),
+the signed distribution averaged over +-n, so every distribution over
+|p| is the signed one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .quantum import PeriodOperator
+from .quantum import MomentumBasis, PeriodOperator
 
 UNITARITY_REJECT = 1e-6
-DEGENERACY_ANGLE = 1e-10
 
 
 @dataclass
 class FloquetDecomposition:
     """Orthonormal Floquet eigenbasis of a one-period operator.
 
-    quasi_energies are in [0, 2*pi*hbar); vectors[:, j] is |alpha_j>.
-    degenerate_clusters lists index groups whose eigenvalue angles
-    coincide within 1e-10; inside a cluster the vectors are whatever
-    orthonormal basis the eigensolver returned.  near_cut_gaps counts
-    the neighboring angle gaps within a decade of that cut,
-    [1e-11, 1e-9]: the pairs whose grouping, and so the asymptotic
-    matrix, hinges on it.  unitarity_defect is max |U+ U - I| of the
-    input and reconstruction_residual the eigensolver's
-    max |U z_j - lambda_j z_j|.
+    quasi_energies are in [0, 2*pi*hbar); vectors[:, j] is |alpha_j>,
+    in whatever orthonormal basis the eigensolver returned inside a
+    degenerate eigenspace.  basis is the ladder of the operator.
+    unitarity_defect is max |U+ U - I| of the input and
+    reconstruction_residual the eigensolver's max |U z_j - lambda_j z_j|.
     """
 
     quasi_energies: np.ndarray
     vectors: np.ndarray
-    hbar: float
-    degenerate_clusters: tuple
-    near_cut_gaps: int
+    basis: MomentumBasis
     unitarity_defect: float
     reconstruction_residual: float
-
-
-def _circular_gaps(angles: np.ndarray):
-    """Sort order of angles (mod 2*pi) and the gap after each sorted
-    angle; the last gap wraps around to the first."""
-    order = np.argsort(angles)
-    srt = angles[order]
-    gaps = np.append(np.diff(srt), srt[0] + 2.0 * np.pi - srt[-1])
-    return order, gaps
-
-
-def _degenerate_clusters(order: np.ndarray, gaps: np.ndarray) -> tuple:
-    """Group sorted indices whose gaps lie within DEGENERACY_ANGLE."""
-    breaks = np.flatnonzero(gaps[:-1] > DEGENERACY_ANGLE)
-    groups = np.split(order, breaks + 1)
-    # the circle wraps: first and last group may be one cluster
-    if len(groups) > 1 and gaps[-1] <= DEGENERACY_ANGLE:
-        groups[0] = np.concatenate([groups[-1], groups[0]])
-        groups.pop()
-    return tuple(tuple(int(i) for i in g) for g in groups if len(g) > 1)
 
 
 def decompose(U: PeriodOperator) -> FloquetDecomposition:
@@ -90,36 +65,30 @@ def decompose(U: PeriodOperator) -> FloquetDecomposition:
     1e-6, which signals an upstream construction error rather than
     roundoff.
     """
-    hbar = U.basis.hbar
     defect = U.unitarity_defect
     if defect > UNITARITY_REJECT:
         raise ValueError(f"U is not unitary (defect {defect:.2e})")
 
     s, O, lam, residual = U.floquet_basis
     angles = np.mod(-np.angle(lam), 2.0 * np.pi)
-    order, gaps = _circular_gaps(angles)
-    clusters = _degenerate_clusters(order, gaps)
-    near_cut = np.count_nonzero((gaps >= 0.1 * DEGENERACY_ANGLE)
-                                & (gaps <= 10.0 * DEGENERACY_ANGLE))
-
     return FloquetDecomposition(
-        quasi_energies=hbar * angles, vectors=s[:, None] * O, hbar=hbar,
-        degenerate_clusters=clusters, near_cut_gaps=int(near_cut),
-        unitarity_defect=defect, reconstruction_residual=residual)
+        quasi_energies=U.basis.hbar * angles, vectors=s[:, None] * O,
+        basis=U.basis, unitarity_defect=defect,
+        reconstruction_residual=residual)
 
 
 def asymptotic_matrix(dec: FloquetDecomposition) -> np.ndarray:
     """All-to-all asymptotic mixing matrix; symmetric, doubly stochastic.
 
-    sum_c |(P_c)[n, n0]|^2 expands into the diagonal terms
-    |Z[n,j]|^2 |Z[n0,j]|^2 plus, for each pair j < k inside a cluster,
-    2 Re B[n] conj(B[n0]) with B = Z[:, j] conj(Z[:, k]); so the matrix is
-    G G^T with G = [|Z|^2, sqrt(2) Re B, sqrt(2) Im B].
+    At q = 0 this is the parity average S P P^T S of the module
+    docstring, computed as (S P)(S P)^T: its [n, n0] entry is the mean
+    of the long-time probabilities of n and -n from a start spread
+    evenly over n0 and -n0.  At q != 0 the truncated ladder has no exact
+    reflection, and the matrix is P P^T.  q = -1/2, where n -> -1 - n
+    would be the reflection, is out of scope and also gets P P^T.
     """
-    Z = dec.vectors
-    j, k = np.array([pair for cluster in dec.degenerate_clusters
-                     for pair in combinations(cluster, 2)],
-                    dtype=int).reshape(-1, 2).T
-    B = np.sqrt(2.0) * Z[:, j] * Z[:, k].conj()
-    G = np.hstack([np.abs(Z)**2, B.real, B.imag])
-    return G @ G.T
+    P = np.abs(dec.vectors)**2
+    if dec.basis.q == 0.0:
+        N = dec.basis.size
+        P = 0.5 * (P + P[(N - np.arange(N)) % N])
+    return P @ P.T

@@ -200,64 +200,17 @@ def split_operator_period(psi, cfg, basis, substeps=SPLIT_SUBSTEPS):
     return np.fft.fftshift(c)
 
 
-def horizon_interference(dec, T):
-    """Interference term R_T of the T-step average of |U^t|^2.
-
-    With U Z = Z diag(exp(-i theta)), the exact average over t = 1..T is
-
-        sum_{j, k} F_T(theta_j - theta_k) Z[n,j] Z*[n0,j] Z*[n,k] Z[n0,k]
-
-    with the averaging kernel F_T(x) = (1/T) sum_{t=1}^T exp(-i x t).
-    The pairs with j = k or inside one degenerate cluster, taken with
-    F_T = 1, make up asymptotic_matrix; R_T is the real part of the rest,
-    what pairs with a gap below ~2 pi / T still carry at horizon T.
-    """
-    Z = dec.vectors
-    theta = dec.quasi_energies / dec.hbar
-    # F_T is 2 pi periodic; wrapping keeps gaps across theta = 0 small
-    x = np.mod(theta[:, None] - theta[None, :] + np.pi, TWO_PI) - np.pi
-    num = np.sin(0.5 * T * x)
-    den = T * np.sin(0.5 * x)
-    ratio = np.divide(num, den, out=np.ones_like(x), where=den != 0.0)
-    F = np.exp(-0.5j * (T + 1) * x) * ratio
-    for cluster in dec.degenerate_clusters:
-        F[np.ix_(cluster, cluster)] = 0.0
-    np.fill_diagonal(F, 0.0)
-    R = np.empty(Z.shape, dtype=float)
-    for n0 in range(Z.shape[0]):
-        B = Z * Z[n0].conj()  # B[n, j] = Z[n, j] Z*[n0, j]
-        R[:, n0] = np.real(np.sum((B @ F) * B.conj(), axis=1))
-    return R
-
-
-def schur_decomposition(U, hbar, cut=1e-10):
-    """Floquet decomposition of any unitary U by complex Schur.
+def schur_decomposition(U, basis):
+    """Floquet decomposition of any unitary U on a ladder, by complex Schur.
 
     For a normal matrix the Schur basis is an orthonormal eigenbasis.
-    Eigenvalue angles whose sorted neighbors lie within `cut` (the circle
-    wrapping) form clusters.
     """
     T, Z = schur(U, output="complex")
     lam = np.diag(T)
-    angles = np.mod(-np.angle(lam), TWO_PI)
-    order = np.argsort(angles)
-    srt = angles[order]
-    gaps = np.append(np.diff(srt), srt[0] + TWO_PI - srt[-1])
-    groups = [[order[0]]]
-    for i, gap in zip(order[1:], gaps[:-1]):
-        if gap <= cut:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    if len(groups) > 1 and gaps[-1] <= cut:
-        groups[0] = groups.pop() + groups[0]
-    clusters = tuple(tuple(int(i) for i in g) for g in groups if len(g) > 1)
     N = U.shape[0]
     return FloquetDecomposition(
-        quasi_energies=hbar * angles, vectors=Z, hbar=hbar,
-        degenerate_clusters=clusters,
-        near_cut_gaps=int(np.count_nonzero((gaps >= 0.1 * cut)
-                                           & (gaps <= 10.0 * cut))),
+        quasi_energies=basis.hbar * np.mod(-np.angle(lam), TWO_PI),
+        vectors=Z, basis=basis,
         unitarity_defect=float(np.max(np.abs(U.conj().T @ U - np.eye(N)))),
         reconstruction_residual=float(np.max(np.abs(U @ Z - Z * lam))))
 

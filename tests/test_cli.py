@@ -305,22 +305,60 @@ def test_run_floquet_outputs(tmp_path):
     matrix = (out / "asymptotic_matrix.csv").read_text().splitlines()
     assert len(matrix) == 129
     assert not (out / "asymptotic_matrix_log10.csv").exists()
+    # the parity average is its own reflection n -> -n, n0 -> -n0; the
+    # file holds it to 17 digits, so the two agree to roundoff
+    M = np.loadtxt(out / "asymptotic_matrix.csv", delimiter=",",
+                   skiprows=1)[:, 1:]
+    r = (128 - np.arange(128)) % 128
+    np.testing.assert_allclose(M[r][:, r], M, rtol=0, atol=1e-15)
     diag = json.loads((out / "floquet_diagnostics.json").read_text())
     assert diag["unitarity_defect"] < 1e-10
     assert diag["basis_size"] == 128
-    assert diag["degenerate_clusters"] >= 0
     assert diag["reconstruction_residual"] < 1e-8
-    assert diag["near_cut_gaps"] >= 0
+    # no degeneracy cut, so nothing to count against one
+    assert "degenerate_clusters" not in diag
+    assert "near_cut_gaps" not in diag
+
+
+def test_floquet_matrix_does_not_depend_on_blas_threads(tmp_path):
+    # the BLAS thread count reorders the sums inside LAPACK, so the
+    # Floquet basis differs at roundoff between one and two threads, and
+    # inside a parity doublet it may differ by any rotation.  The parity
+    # average reads neither a cut nor the basis inside a doublet, so it
+    # moves only as the eigenspaces do: the eigensolver's backward error,
+    # about N * eps = 1.4e-14 at N = 128, divided by the gap to the next
+    # eigenspace.  1e-12 allows that gap to be as small as 1.4e-2, and
+    # lies three decades below the 1.1e-9 by which a matrix that hinges
+    # on a degeneracy cut moved.  quasi_energies.csv is left out: doublets
+    # whose quasi-energies agree to roundoff can swap their state labels
+    config = tmp_path / "floquet.ini"
+    matrices = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        config.write_text(f"[run]\nmode = floquet\nout = {out}\n")
+        subprocess.run([sys.executable, "-m", "dkrotor.cli", "run",
+                        "--config", str(config)], check=True,
+                       env=_src_env(OPENBLAS_NUM_THREADS=threads,
+                                    OMP_NUM_THREADS=threads))
+        lines = (out / "asymptotic_matrix.csv").read_text().splitlines()
+        matrices.append((lines[0], np.loadtxt(lines[1:], delimiter=",")))
+    (head1, M1), (head2, M2) = matrices
+    assert head1 == head2 and M1.shape == (128, 129)
+    np.testing.assert_allclose(M2, M1, rtol=0, atol=1e-12)
+
+
+def _src_env(**variables):
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(dkrotor.__file__).parents[1])
+    return {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _loaded_by_cli_import(module):
     """Whether a fresh `import dkrotor.cli` puts module in sys.modules."""
-    src = str(Path(dkrotor.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"import sys, dkrotor.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         check=True, capture_output=True, text=True).stdout
     return out.strip() == "True"
 
 
