@@ -13,11 +13,12 @@ Two realizations are provided:
   probability eta per cycle.  With discretized recoil the emission
   follows the cycle and shifts the ladder by +-1 with equal odds, which
   unravels the map above exactly.  With continuous recoil it happens
-  at a time uniform over the on-pulse windows, and the recoil splits
-  into an integer ladder shift plus a quasi-momentum change; coherent
-  segments between emissions use exactly-exponentiated operators cached
-  on a quantized q grid.  All trajectories advance together as the
-  columns of one state matrix, with one product per occupied q a kick.
+  at a time uniform over the on-pulse windows.  q = k / Q_GRID rides on
+  an integer key k; the recoil, rounded once to round(Q_GRID u) keys,
+  adds to k, and one integer division splits the sum into a ladder
+  shift and the new key.  Coherent segments use exactly-exponentiated
+  operators cached per key.  All trajectories advance together as the
+  columns of one state matrix, with one product per occupied key a kick.
 
 The anti-Zeno model is a per-cycle projective momentum measurement:
 off-diagonals of rho are zeroed after each coherent cycle, which
@@ -38,7 +39,7 @@ from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
 
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000
-# continuous recoil snaps q to multiples of 1/Q_GRID
+# continuous recoil moves q = k / Q_GRID by integer keys k
 Q_GRID = 64
 # realizations per (N x MC_BLOCK) state matrix: 2048 holds the CLI
 # default in one block, and the cap bounds the working set
@@ -133,30 +134,26 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
 
 
 class OperatorCache:
-    """Period operators on a quantized q grid.
+    """Period operators keyed by the integer quasi-momentum key k.
 
     Rebuilding the tridiagonal eigendecomposition per emission would
-    dominate trajectory runs; q is therefore snapped to multiples of
-    1/Q_GRID and one operator built per occupied grid point, whose
-    pulse factors and tail phases serve an emission inside a pulse.
+    dominate trajectory runs; one operator is therefore built per
+    occupied key, at q = k / Q_GRID, whose pulse factors and tail phases
+    serve an emission inside a pulse.
     """
 
     def __init__(self, cfg: KickConfig, size: int, hbar: float):
         self.cfg = cfg
         self.size = size
         self.hbar = hbar
-        self._ops: dict[float, PeriodOperator] = {}
+        self._ops: dict[int, PeriodOperator] = {}
 
-    def snap(self, q: float) -> float:
-        return (np.round(q * Q_GRID) / Q_GRID + 0.5) % 1.0 - 0.5
-
-    def operator(self, q: float) -> PeriodOperator:
-        q = self.snap(q)
-        op = self._ops.get(q)
+    def operator(self, k: int) -> PeriodOperator:
+        op = self._ops.get(k)
         if op is None:
-            op = build_period_operator(
-                self.cfg, MomentumBasis(size=self.size, hbar=self.hbar, q=q))
-            self._ops[q] = op
+            op = build_period_operator(self.cfg, MomentumBasis(
+                size=self.size, hbar=self.hbar, q=k / Q_GRID))
+            self._ops[k] = op
         return op
 
 
@@ -170,47 +167,47 @@ class MCResult:
     realizations: int
 
 
-def _wrap_q(q_total):
-    """Split momentum offsets into ladder shifts and wrapped quasi-momenta."""
-    q_new = (q_total + 0.5) % 1.0 - 0.5
-    return np.round(q_total - q_new).astype(int), q_new
+def _ladder_split(total):
+    """(ladder shift, key in [-Q_GRID/2, Q_GRID/2)) of summed keys."""
+    shift, key = np.divmod(total + Q_GRID // 2, Q_GRID)
+    return shift, key - Q_GRID // 2
 
 
-def _q_groups(q, cache):
-    """(operator, positions) for each distinct snapped value in q."""
-    values, inverse = np.unique(q, return_inverse=True)
-    for k, value in enumerate(values):
-        yield cache.operator(value), np.flatnonzero(inverse == k)
+def _q_groups(k, cache):
+    """(operator, positions) for each distinct key in k."""
+    values, inverse = np.unique(k, return_inverse=True)
+    for j, value in enumerate(values):
+        yield cache.operator(int(value)), np.flatnonzero(inverse == j)
 
 
-def _continuous_kick(Psi, q, q_after, emit, x, shift, cache):
-    """One kick of each column of Psi, in place, from snapped q to q_after.
+def _continuous_kick(Psi, k, k_after, emit, x, shift, cache):
+    """One kick of each column of Psi, in place, from key k to k_after.
 
     With U = F_tail P(alpha/2) F_gap P(alpha/2) and P(s) P(t) = P(s + t),
     a cycle with an emission at on-pulse time x and ladder shift S is
         x < alpha/2:   U' P'(-w) S P(w),                  w = x
         x >= alpha/2:  F_tail' P'(-w) S P(w) F_tail^-1 U,  w = x - alpha
-    where primes mark the operators of q_after.  Grouped by q, columns
+    where primes mark the operators of k_after.  Grouped by k, columns
     without emission and late emissions take U, and every emitting
     column then takes P(w) with its own w; one gather applies all the
-    shifts; grouped by q_after, the emitting columns take the rest.
+    shifts; grouped by k_after, the emitting columns take the rest.
     """
     cfg = cache.cfg
     late = emit & (x >= cfg.alpha / 2.0)
     first = np.flatnonzero(~emit | late)
-    for op, g in _q_groups(q[first], cache):
+    for op, g in _q_groups(k[first], cache):
         Psi[:, first[g]] = np.dot(op.U, Psi[:, first[g]])
     cols = np.flatnonzero(emit)
     late = late[cols]
     w = np.where(late, x[cols] - cfg.alpha, x[cols])
     E = Psi[:, cols]
-    for op, g in _q_groups(q[cols], cache):
+    for op, g in _q_groups(k[cols], cache):
         E[:, g[late[g]]] *= op.tail.conj()[:, None]
         E[:, g] = op.apply_pulse(E[:, g], w[g])
     # column j rolled by shift[j], as np.roll
     rows = np.arange(E.shape[0])[:, None] - shift[cols]
     E = E[rows % E.shape[0], np.arange(cols.size)]
-    for op, g in _q_groups(q_after[cols], cache):
+    for op, g in _q_groups(k_after[cols], cache):
         Y = op.apply_pulse(E[:, g], -w[g])
         Y[:, late[g]] *= op.tail[:, None]
         Y[:, ~late[g]] = np.dot(op.U, Y[:, ~late[g]])
@@ -235,7 +232,8 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     ladder by +-1 with equal odds; q stays fixed and the average is an
     exact unraveling of run_decohered with the same model.
     "continuous" recoils by u*hbar, u uniform in [-1, 1], at a uniform
-    on-pulse time, with q snapped to the 1/Q_GRID grid.
+    on-pulse time.  q = k / Q_GRID on an integer key k, basis.q rounded
+    and wrapped at the start; each emission adds round(Q_GRID u) to k.
 
     Realization i draws from its own stream seeded by (seed, i), in this
     order: the starting ladder state; then, each kick while eta > 0, one
@@ -256,10 +254,11 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
         raise ValueError(f"kicks must be >= 1, got {kicks}")
 
     continuous = model.recoil_mode == "continuous"
+    k0 = _ladder_split(round(basis.q * Q_GRID))[1]
     if continuous:
         cache = OperatorCache(cfg, basis.size, basis.hbar)
         basis = MomentumBasis(size=basis.size, hbar=basis.hbar,
-                              q=cache.snap(basis.q))
+                              q=k0 / Q_GRID)
     else:
         U = build_period_operator(cfg, basis).U
     # the start-state draw of Generator.choice(size, p=weights), with the
@@ -287,7 +286,7 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
             pool[j] = rng.random(3 * kicks)
         # next draw of each column: the trigger, and 1 or 2 more if it emits
         pos = np.zeros(cols.size, dtype=int)
-        q = np.full(cols.size, basis.q)
+        k = np.full(cols.size, k0)
         Psi = np.zeros((basis.size, cols.size), dtype=complex)
         Psi[n0, cols] = 1.0
         for t in range(kicks + 1):
@@ -297,11 +296,11 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
                 pos += 1 + emit * (1 + continuous)
             if t and continuous:
                 # scaled as Generator.uniform(0, alpha) and (-1, 1) scale them
-                shift, q_new = _wrap_q(q + (-1.0 + 2.0 * u))
-                q_after = np.where(emit, cache.snap(q_new), q)
-                _continuous_kick(Psi, q, q_after, emit, x * cfg.alpha,
+                recoil = np.rint(Q_GRID * (-1.0 + 2.0 * u)).astype(int)
+                shift, k_after = _ladder_split(k + emit * recoil)
+                _continuous_kick(Psi, k, k_after, emit, x * cfg.alpha,
                                  shift, cache)
-                q = q_after
+                k = k_after
             elif t:
                 Psi = U @ Psi
                 # same periodic wrap as the emission map

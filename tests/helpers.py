@@ -25,7 +25,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import schur
 
-from dkrotor.decoherence import EmissionModel, OperatorCache, run_decohered
+from dkrotor.decoherence import (Q_GRID, EmissionModel, OperatorCache,
+                                 run_decohered)
 from dkrotor.floquet import FloquetDecomposition
 from dkrotor.pulses import KickConfig, barrier, fourier_coefficient
 from dkrotor.quantum import (MomentumBasis, _time_reversal_frame,
@@ -248,12 +249,15 @@ def anti_zeno_map(rho):
     return np.diag(np.diag(rho))
 
 
-def _wrap_q(q_total):
-    q_new = (q_total + 0.5) % 1.0 - 0.5
-    return int(round(q_total - q_new)), q_new
+def _recoil_key(k, u):
+    """(ladder shift, new key) after a recoil u from key k: q + u is
+    rounded once to the grid, and the shift is floor(q + u + 1/2) of
+    the rounded sum, the zone it falls in."""
+    zones, key = divmod(k + round(Q_GRID * u) + Q_GRID // 2, Q_GRID)
+    return zones, key - Q_GRID // 2
 
 
-def _emission_cycle(psi, q, cache, rng):
+def _emission_cycle(psi, k, cache, rng):
     """One kick cycle containing an emission at a uniform on-pulse time."""
     cfg = cache.cfg
     half = cfg.alpha / 2.0
@@ -262,12 +266,12 @@ def _emission_cycle(psi, q, cache, rng):
     offset = x if in_first else x - half
     u = rng.uniform(-1.0, 1.0)
 
-    op = cache.operator(q)
+    op = cache.operator(k)
     if in_first:
         psi = op.apply_pulse(psi, offset)
-        shift, q = _wrap_q(cache.snap(q) + u)
+        shift, k = _recoil_key(k, u)
         psi = np.roll(psi, shift)
-        op = cache.operator(q)
+        op = cache.operator(k)
         psi = op.apply_pulse(psi, half - offset)
         psi = op.basis.free_phases(cfg.delta - half) * psi
         psi = op.apply_pulse(psi, half)
@@ -275,12 +279,12 @@ def _emission_cycle(psi, q, cache, rng):
         psi = op.apply_pulse(psi, half)
         psi = op.basis.free_phases(cfg.delta - half) * psi
         psi = op.apply_pulse(psi, offset)
-        shift, q = _wrap_q(cache.snap(q) + u)
+        shift, k = _recoil_key(k, u)
         psi = np.roll(psi, shift)
-        op = cache.operator(q)
+        op = cache.operator(k)
         psi = op.apply_pulse(psi, half - offset)
     psi = op.basis.free_phases(1.0 - cfg.delta - half) * psi
-    return psi, cache.snap(q)
+    return psi, k
 
 
 def mc_reference(cfg, basis, model, kicks, seed, realizations):
@@ -292,23 +296,25 @@ def mc_reference(cfg, basis, model, kicks, seed, realizations):
     fraction and its standard error.
     """
     eta = model.eta
+    # the trajectory's quasi-momentum key, q = k / Q_GRID, wrapped
+    k0 = (round(basis.q * Q_GRID) + Q_GRID // 2) % Q_GRID - Q_GRID // 2
     if model.recoil_mode == "continuous":
         cache = OperatorCache(cfg, basis.size, basis.hbar)
         basis = MomentumBasis(size=basis.size, hbar=basis.hbar,
-                              q=cache.snap(basis.q))
+                              q=k0 / Q_GRID)
 
-        def cycle(psi, q, rng):
+        def cycle(psi, k, rng):
             if eta > 0.0 and rng.random() < eta:
-                return _emission_cycle(psi, q, cache, rng)
-            return cache.operator(q).U @ psi, q
+                return _emission_cycle(psi, k, cache, rng)
+            return cache.operator(k).U @ psi, k
     else:
         U = build_period_operator(cfg, basis).U
 
-        def cycle(psi, q, rng):
+        def cycle(psi, k, rng):
             psi = U @ psi
             if eta > 0.0 and rng.random() < eta:
                 psi = np.roll(psi, 1 if rng.random() < 0.5 else -1)
-            return psi, q
+            return psi, k
 
     weights = np.real(np.diag(initial_density(cfg, basis)))
     outside = np.abs(basis.indices * basis.hbar) > 10.0 * np.pi
@@ -318,10 +324,10 @@ def mc_reference(cfg, basis, model, kicks, seed, realizations):
         rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
         psi = np.zeros(basis.size, dtype=complex)
         psi[rng.choice(basis.size, p=weights)] = 1.0
-        q = basis.q
+        k = k0
         for t in range(kicks + 1):
             if t:
-                psi, q = cycle(psi, q, rng)
+                psi, k = cycle(psi, k, rng)
             prob = np.abs(psi)**2
             dists[t] += prob
             series[index, t] = prob[outside].sum()

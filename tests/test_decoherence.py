@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dkrotor import decoherence
-from dkrotor.decoherence import (EmissionModel, MCResult, OperatorCache,
-                                 _emission_map_into, _wrap_q,
-                                 mc_wavefunction_run, run_decohered)
+from dkrotor.decoherence import (Q_GRID, EmissionModel, MCResult,
+                                 OperatorCache, _emission_map_into,
+                                 _ladder_split, mc_wavefunction_run,
+                                 run_decohered)
 from dkrotor.pulses import KickConfig
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
                              evolve_density, initial_density)
@@ -167,25 +168,51 @@ def test_emission_model_validation():
     assert EmissionModel(eta=0.02).recoil_mode == "discretized"
 
 
-def test_wrap_q_splits_shift_and_remainder():
-    for q_total, want_shift, want_q in ((0.7, 1, -0.3), (0.4, 0, 0.4),
-                                        (-0.6, -1, 0.4), (0.5, 1, -0.5),
-                                        (0.0, 0, 0.0), (1.3, 1, 0.3)):
-        shift, q = _wrap_q(q_total)
-        assert shift == want_shift
-        assert q == pytest.approx(want_q, abs=1e-12)
-        assert -0.5 <= q < 0.5
-        assert shift + q == pytest.approx(q_total, abs=1e-12)
+def test_ladder_split_keeps_every_rung():
+    # every key k and every rounded recoil r in [-Q_GRID, Q_GRID]: the
+    # shift is the number of zones q + u = (k + r) / Q_GRID lies above
+    # the zone [-1/2, 1/2), and with the new key it holds k + r whole,
+    # so a sum that reaches q = +1/2 moves one rung up
+    k = np.arange(-Q_GRID // 2, Q_GRID // 2)[:, None]
+    r = np.arange(-Q_GRID, Q_GRID + 1)
+    shift, key = _ladder_split(k + r)
+    np.testing.assert_array_equal(shift, np.floor((k + r) / Q_GRID + 0.5))
+    np.testing.assert_array_equal(shift * Q_GRID + key, k + r)
+    assert key.min() == -Q_GRID // 2 and key.max() == Q_GRID // 2 - 1
+    assert _ladder_split(Q_GRID // 2) == (1, -Q_GRID // 2)
 
 
-def test_operator_cache_snaps_and_reuses():
+def test_operator_cache_builds_one_operator_per_key():
     cache = OperatorCache(KickConfig(K=100.0), size=64, hbar=2.6)
-    assert cache.snap(0.13) == pytest.approx(0.125)
-    assert cache.snap(0.7) == pytest.approx(-0.296875)
-    op1 = cache.operator(0.1251)
-    op2 = cache.operator(0.1249)  # same grid point
-    assert op1 is op2
-    assert op1.basis.q == pytest.approx(0.125)
+    ops = {k: cache.operator(k) for k in (-Q_GRID // 2, -3, 0, 8)}
+    assert len({id(op) for op in ops.values()}) == len(ops)
+    for k, op in ops.items():
+        assert cache.operator(k) is op
+        assert op.basis.q == k / Q_GRID
+
+
+def test_continuous_recoil_keeps_its_rung_at_zero_drive():
+    # at K = 0 every pulse is diagonal, so each column stays one ladder
+    # state, and after one kick at eta = 1 the distribution is the
+    # histogram of n0 + shift.  It is rebuilt from each (seed, i) stream
+    # in the documented draw order: start, trigger, time, u.  The start
+    # key is 0, so the rounded total is round(Q_GRID u), and the shift
+    # counts the zones it lies above [-1/2, 1/2): a recoil that reaches
+    # q = +1/2 must gain its rung
+    cfg = KickConfig(K=0.0)
+    seed, R = 3, 2000
+    weights = np.real(np.diag(initial_density(cfg, BASIS)))
+    counts = np.zeros(BASIS.size)
+    for i in range(R):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        n0 = rng.choice(BASIS.size, p=weights)
+        _trigger, _time, u = rng.random(), rng.random(), rng.uniform(-1, 1)
+        shift = (round(Q_GRID * u) + Q_GRID // 2) // Q_GRID
+        counts[(n0 + shift) % BASIS.size] += 1
+    mc = mc_wavefunction_run(cfg, BASIS, _continuous(1.0), kicks=1,
+                             seed=seed, realizations=R)
+    np.testing.assert_allclose(mc.distributions[1], counts / R, rtol=0,
+                               atol=1e-12)
 
 
 def test_mc_zero_rate_matches_density_matrix():
