@@ -6,7 +6,11 @@ Two realizations are provided:
 * a density-matrix map where the recoil is discretized onto the ladder,
   mixing each element with its diagonal neighbours,
       rho'[m,n] = eta/2 (rho[m+1,n+1] + rho[m-1,n-1]) + (1-eta) rho[m,n],
-  with periodic wrap (the edges carry negligible population);
+  with periodic wrap (the edges carry negligible population).  The map
+  commutes with the reflection n -> -n, so at q = 0 a parity-even state
+  stays even, and the coherent half of each cycle runs on the parity
+  blocks of U (see run_decohered), dropping only the hard wall's
+  parity breaking at the ladder's edge, where the state has no weight;
 
 * a Monte Carlo wavefunction model (Dalibard, Castin & Molmer, PRL 68,
   580, 1992) where each trajectory suffers an emission with
@@ -29,13 +33,16 @@ transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
 from .pulses import KickConfig, barrier
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
-                      _evolution_result, _is_diagonal, build_period_operator,
-                      evolve_density, initial_density)
+                      _evolution_result, _is_diagonal, _reflection,
+                      build_period_operator, evolve_density,
+                      initial_density)
 
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000
@@ -44,6 +51,10 @@ Q_GRID = 64
 # realizations per (N x MC_BLOCK) state matrix: 2048 holds the CLI
 # default in one block, and the cap bounds the working set
 MC_BLOCK = 2048
+# the parity blocks of the emission kick are zero-padded to a multiple of
+# this many rows: OpenBLAS gives the same zgemm bits at one and two
+# threads at sizes 128, 136, 256 and 264, but not at 129, 130 or 257
+PARITY_ALIGN = 8
 
 
 @dataclass(frozen=True)
@@ -97,6 +108,19 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
     "anti-zeno".  Anti-Zeno runs keep only the diagonal, so they
     propagate the distribution with the doubly stochastic matrix |U|^2
     once the state is diagonal.
+
+    An emission kick at q = 0 from a parity-even rho0 (R rho0 R = rho0,
+    R = quantum._reflection; initial_density is one) conjugates by the
+    parity average Ubar = (U + RUR)/2 in its even and odd blocks
+    (_parity_blocks): four products of half size, a quarter of the flops
+    of U rho U+.  Since the map commutes with R, rho stays even.  With
+    D = (U - RUR)/2, the even part of U rho U+ is
+    Ubar rho Ubar+ + D rho D+, so each kick drops D rho D+ and the odd
+    part Ubar rho D+ + D rho Ubar+.  Both are roundoff: D is the hard
+    wall at rung -N/2, above 1e-12 only on rows |n| >= 53 / 113 / 235 at
+    N = 128 / 256 / 512 (K = 280), where rho stays below 3e-12, and U's
+    own roundoff elsewhere.  Any other run kicks the whole ladder by
+    U rho U+.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
@@ -125,12 +149,66 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
             d = dists[t] = M @ d
         return _evolution_result(dists, op, np.diag(d).astype(complex))
 
-    U_dag = U.conj().T
+    r = _reflection(op.basis.size)
+    if op.basis.q == 0.0 and np.array_equal(rho0, rho0[r][:, r]):
+        fold = _parity_blocks
+        unfold = partial(_from_parity_blocks, size=op.basis.size)
+    else:
+        fold, unfold = (lambda X: (X,)), itemgetter(0)
+    blocks = [(A, A.conj().T) for A in fold(U)]
     rho = rho0
     for t in range(1, kicks + 1):
-        rho = _emission_map_into(U @ rho @ U_dag, model.eta)
+        kicked = [A @ X @ A_dag for (A, A_dag), X in zip(blocks, fold(rho))]
+        rho = _emission_map_into(unfold(kicked), model.eta)
         dists[t] = np.real(np.diag(rho))
     return _evolution_result(dists, op, rho)
+
+
+def _padded(rows: int) -> int:
+    """rows rounded up to a multiple of PARITY_ALIGN."""
+    return -(-rows // PARITY_ALIGN) * PARITY_ALIGN
+
+
+def _mirror_slices(size: int) -> tuple:
+    """h = N/2 and the ladder rows as slices: rung 0 then -N/2 (h::-h),
+    and rungs n and -n for n = 1 .. h - 1 (h+1: and h-1:0:-1), the
+    pairs of quantum._reflection."""
+    h = size // 2
+    return h, slice(h, None, -h), slice(h + 1, None), slice(h - 1, 0, -1)
+
+
+def _parity_blocks(X: np.ndarray) -> tuple:
+    """(E, O), the even and odd diagonal blocks of X in the parity basis.
+
+    E is on |0>, |-N/2> and (|n> + |-n>)/sqrt2, O on (|n> - |-n>)/sqrt2,
+    n = 1 .. N/2 - 1, in that order; each is zero-padded to _padded rows
+    and columns.  The blocks between E and O are not formed.
+    """
+    h, ends, pos, neg = _mirror_slices(X.shape[0])
+    E = np.zeros((_padded(h + 1),) * 2, dtype=X.dtype)
+    O = np.zeros((_padded(h - 1),) * 2, dtype=X.dtype)
+    E[:2, :2] = X[ends, ends]
+    E[:2, 2:h + 1] = np.sqrt(0.5) * (X[ends, pos] + X[ends, neg])
+    E[2:h + 1, :2] = np.sqrt(0.5) * (X[pos, ends] + X[neg, ends])
+    same, mixed = X[pos, pos] + X[neg, neg], X[pos, neg] + X[neg, pos]
+    E[2:h + 1, 2:h + 1] = 0.5 * (same + mixed)
+    O[:h - 1, :h - 1] = 0.5 * (same - mixed)
+    return E, O
+
+
+def _from_parity_blocks(blocks: tuple, size: int) -> np.ndarray:
+    """The ladder matrix whose parity blocks are blocks = (E, O): the
+    inverse of _parity_blocks on matrices that commute with parity."""
+    E, O = blocks
+    h, ends, pos, neg = _mirror_slices(size)
+    X = np.empty((size, size), dtype=E.dtype)
+    X[ends, ends] = E[:2, :2]
+    X[ends, pos] = X[ends, neg] = np.sqrt(0.5) * E[:2, 2:h + 1]
+    X[pos, ends] = X[neg, ends] = np.sqrt(0.5) * E[2:h + 1, :2]
+    even, odd = E[2:h + 1, 2:h + 1], O[:h - 1, :h - 1]
+    X[pos, pos] = X[neg, neg] = 0.5 * (even + odd)
+    X[pos, neg] = X[neg, pos] = 0.5 * (even - odd)
+    return X
 
 
 class OperatorCache:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import MomentumBasis, PeriodOperator
+from .quantum import MomentumBasis, PeriodOperator, _reflection
 
 UNITARITY_REJECT = 1e-6
 
@@ -89,6 +89,5 @@ def asymptotic_matrix(dec: FloquetDecomposition) -> np.ndarray:
     """
     P = np.abs(dec.vectors)**2
     if dec.basis.q == 0.0:
-        N = dec.basis.size
-        P = 0.5 * (P + P[(N - np.arange(N)) % N])
+        P = 0.5 * (P + P[_reflection(dec.basis.size)])
     return P @ P.T

@@ -246,6 +246,12 @@ def _evolution_result(dists: np.ndarray, op: PeriodOperator,
                            final_density=final_density)
 
 
+def _reflection(size: int) -> np.ndarray:
+    """Row of -n for each row of n: the reflection n -> -n on the ladder
+    read as Z_N, row i -> (N - i) mod N.  Rung -N/2 is its own image."""
+    return (size - np.arange(size)) % size
+
+
 def _is_diagonal(rho: np.ndarray) -> bool:
     """True when rho has no nonzero element off its diagonal, tested
     without a temporary matrix."""

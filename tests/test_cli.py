@@ -325,19 +325,22 @@ def test_floquet_matrix_does_not_depend_on_blas_threads(tmp_path):
     # Floquet basis differs at roundoff between one and two threads, and
     # inside a parity doublet it may differ by any rotation.  The parity
     # average reads neither a cut nor the basis inside a doublet, so it
-    # moves only as the eigenspaces do: the eigensolver's backward error,
-    # about N * eps = 1.4e-14 at N = 128, divided by the gap to the next
-    # eigenspace.  1e-12 allows that gap to be as small as 1.4e-2, and
-    # lies three decades below the 1.1e-9 by which a matrix that hinges
-    # on a degeneracy cut moved.  quasi_energies.csv is left out: doublets
-    # whose quasi-energies agree to roundoff can swap their state labels.
-    # The coherent wigner grid reads rho after T = 70 kicks, taken through
-    # the same basis, which rebuilds U to within N r in norm, with r the
-    # residual max |U_s O - O Lambda|: 1.2e-13 and 4.7e-14 at one and two
-    # threads for the default config.  rho_T = U^T rho_0 U^-T then moves
-    # by at most 2 T N r per run, 4 T N r between the two.  A coarse cell
-    # sums four FFT means over N entries of rho and is divided by the
-    # total 2N, so it moves by at most 8 T r = 6.7e-11; hence 1e-10
+    # moves only as the eigenspaces do, by at most r / g for one at a gap
+    # g from the rest of the spectrum, with r the residual
+    # max |U_s O - O Lambda| of the Cayley route's basis: 1.2e-13 and
+    # 4.7e-14 at one and two threads for the default config.  1e-12 holds
+    # that worst case for gaps down to 0.12.  Closer pairs exist (the mean
+    # spacing is 2 pi / N = 0.05); for them r / g is a worst case that a
+    # residual spread over all N states does not reach.  1e-12 lies three
+    # decades below the 1.1e-9 by which a matrix that hinges on a
+    # degeneracy cut moved.  quasi_energies.csv is left out: doublets whose
+    # quasi-energies agree to roundoff can swap their state labels.  The
+    # coherent wigner grid reads rho after T = 70 kicks, taken through the
+    # same basis, which rebuilds U to within N r in norm.
+    # rho_T = U^T rho_0 U^-T then moves by at most 2 T N r per run,
+    # 4 T N r between the two.  A coarse cell sums four FFT means over N
+    # entries of rho and is divided by the total 2N, so it moves by at most
+    # 8 T r = 6.7e-11; hence 1e-10
     for mode, name, atol in (("floquet", "asymptotic_matrix.csv", 1e-12),
                              ("wigner", "wigner_coarse.csv", 1e-10)):
         config = tmp_path / f"{mode}.ini"
@@ -354,6 +357,26 @@ def test_floquet_matrix_does_not_depend_on_blas_threads(tmp_path):
         (head1, M1), (head2, M2) = tables
         assert head1 == head2 and M1.shape == (128, 129)
         np.testing.assert_allclose(M2, M1, rtol=0, atol=atol)
+
+
+def test_emission_distribution_does_not_depend_on_blas_threads(tmp_path):
+    # the emission kick multiplies U's parity blocks, 129 and 127 rows at
+    # N = 256; OpenBLAS sums such sizes in an order that depends on the
+    # thread count, so the blocks are zero-padded to 136 and 128, and the
+    # file keeps its bytes
+    config = tmp_path / "emission.ini"
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        config.write_text("[system]\nhbar = 1.3\n[run]\nmode = quantum\n"
+                          "decoherence = emission\neta = 0.05\n"
+                          f"basis_size = 256\nout = {out}\n")
+        subprocess.run([sys.executable, "-m", "dkrotor.cli", "run",
+                        "--config", str(config)], check=True,
+                       env=_src_env(OPENBLAS_NUM_THREADS=threads,
+                                    OMP_NUM_THREADS=threads))
+        files.append((out / "momentum_distribution.csv").read_bytes())
+    assert files[0] == files[1]
 
 
 def _src_env(**variables):

@@ -6,11 +6,13 @@ import pytest
 from dkrotor import decoherence
 from dkrotor.decoherence import (Q_GRID, EmissionModel, MCResult,
                                  OperatorCache, _emission_map_into,
-                                 _ladder_split, mc_wavefunction_run,
+                                 _from_parity_blocks, _ladder_split,
+                                 _parity_blocks, mc_wavefunction_run,
                                  run_decohered)
 from dkrotor.pulses import KickConfig
-from dkrotor.quantum import (MomentumBasis, build_period_operator,
-                             evolve_density, initial_density)
+from dkrotor.quantum import (MomentumBasis, _reflection,
+                             build_period_operator, evolve_density,
+                             initial_density)
 from helpers import anti_zeno_map, mc_reference
 
 BASIS = MomentumBasis()
@@ -114,6 +116,97 @@ def test_run_decohered_emission_matches_manual_loop():
     np.testing.assert_allclose(res.distributions[-1],
                                np.real(np.diag(manual)), atol=1e-13)
     assert np.trace(res.final_density).real == pytest.approx(1.0, abs=1e-10)
+
+
+def _parity_basis(n):
+    """Columns |0>, |-N/2>, (|k> + |-k>)/sqrt2, then (|k> - |-k>)/sqrt2,
+    k = 1 .. N/2 - 1, on ladder rows i = k + N/2, from the definition."""
+    h, e = n // 2, np.eye(n)
+    even = [e[h], e[0]] + [(e[h + k] + e[h - k]) / np.sqrt(2)
+                           for k in range(1, h)]
+    odd = [(e[h + k] - e[h - k]) / np.sqrt(2) for k in range(1, h)]
+    return np.array(even).T, np.array(odd).reshape(-1, n).T
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 128])
+def test_parity_blocks_match_the_parity_basis(n):
+    Se, So = _parity_basis(n)
+    X = _random_density(n, n)
+    E, O = _parity_blocks(X)
+    # zero-padded to a multiple of 8 rows and columns
+    assert E.shape[0] % 8 == 0 and O.shape[0] % 8 == 0
+    h = n // 2
+    np.testing.assert_allclose(E[:h + 1, :h + 1], Se.T @ X @ Se, atol=1e-15)
+    np.testing.assert_allclose(O[:h - 1, :h - 1], So.T @ X @ So, atol=1e-15)
+    assert not E[h + 1:].any() and not E[:, h + 1:].any()
+    assert not O[h - 1:].any() and not O[:, h - 1:].any()
+    # back on the ladder: the parity-even part of X
+    even = Se @ Se.T @ X @ Se @ Se.T + So @ So.T @ X @ So @ So.T
+    np.testing.assert_allclose(_from_parity_blocks((E, O), n), even,
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("n, hbar, edge", [(128, 2.6, 53), (256, 1.3, 113)])
+def test_parity_block_kick_matches_full_product(n, hbar, edge):
+    # The block kick conjugates by the parity average Ubar = (U + RUR)/2.
+    # With D = (U - RUR)/2, U rho U+ - Ubar rho Ubar+ = Ubar rho D+
+    # + D rho Ubar+ + D rho D+, whose Frobenius norm is at most
+    # 3 |D rho|_F, because |Ubar|, |D| <= 1.  Conjugation keeps the
+    # Frobenius norm and the map does not raise it, so the kicks' terms
+    # add up, and the largest entry is below the sum.  D has two parts:
+    # - on the columns where |D| > 1e-12 (|n| >= edge) it is the hard
+    #   wall at -N/2, which breaks the reflection (|D| up to 0.55).  There
+    #   |D rho|_F <= sum over those columns l of |D[:, l]| |rho[l, :]|,
+    #   computed below from the plain loop; rho sits far from the edge,
+    #   so the sum is below 1e-14;
+    # - elsewhere it is U's own roundoff, at most 1.1e-13 an entry: the
+    #   plain loop carries it as much as the block kick, and like the
+    #   products' own roundoff (N eps = 2.8e-14 an entry at most, random
+    #   in sign, on entries below 0.1) it moves the distribution by less
+    #   than 1e-14 a kick, with signs that do not line up.
+    # So the two routes agree to 1e-13 after 70 kicks.
+    cfg = KickConfig(K=280.0, hbar=hbar)
+    basis = MomentumBasis(size=n, hbar=hbar)
+    op = build_period_operator(cfg, basis)
+    r = _reflection(n)
+    D = 0.5 * (op.U - op.U[r][:, r])
+    wall = np.abs(D).max(axis=0) > 1e-12
+    assert np.abs(basis.indices[wall]).min() == edge
+    rho = initial_density(cfg, basis)
+    res = run_decohered(rho, op, EmissionModel(eta=0.05), 70)
+    dropped = 0.0
+    for t in range(1, 71):
+        dropped += 3.0 * np.sum(np.linalg.norm(D[:, wall], axis=0)
+                                * np.linalg.norm(rho[wall], axis=1))
+        rho = _emission_map_into(op.U @ rho @ op.U.conj().T, 0.05)
+        np.testing.assert_allclose(res.distributions[t],
+                                   np.real(np.diag(rho)), atol=1e-13)
+    assert dropped < 1e-14
+    np.testing.assert_allclose(res.final_density, rho, atol=1e-13)
+
+
+def _displaced_density(basis):
+    """A mixed state that is not parity-even: weight centred on n = 3."""
+    psi = np.exp(-0.5 * ((basis.indices - 3) / 6.0)**2).astype(complex)
+    psi /= np.linalg.norm(psi)
+    return 0.5 * np.diag(np.abs(psi)**2) + 0.5 * np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("q, start", [(0.25, "gaussian"), (0.0, "displaced")])
+def test_run_decohered_emission_on_the_whole_ladder(q, start):
+    # off q = 0, or from a start that is not parity-even, the kick is the
+    # full product U rho U+, as in the plain loop
+    cfg = KickConfig(K=280.0)
+    basis = MomentumBasis(q=q)
+    op = build_period_operator(cfg, basis)
+    rho = (initial_density(cfg, basis) if start == "gaussian"
+           else _displaced_density(basis))
+    res = run_decohered(rho, op, EmissionModel(eta=0.05), 70)
+    for t in range(1, 71):
+        rho = _emission_map_into(op.U @ rho @ op.U.conj().T, 0.05)
+        np.testing.assert_allclose(res.distributions[t],
+                                   np.real(np.diag(rho)), atol=1e-13)
+    np.testing.assert_allclose(res.final_density, rho, atol=1e-13)
 
 
 def test_anti_zeno_fast_path_matches_projective_loop():

@@ -75,3 +75,14 @@ def test_summarize_leaves_statistics_out_when_a_run_has_no_value():
     wall = pairs.summarize(runs, END_TO_END)["metrics"]["wall_s"]
     assert wall["tree"] == [None]
     assert "tree_median" not in wall and "tree_wins" not in wall
+
+
+def test_parse_blas_reads_numpy_show_config():
+    # the line BLAS_PROBE prints: numpy.show_config(mode="dicts")'s
+    # "Build Dependencies" -> "blas" record
+    record = {"name": "scipy-openblas", "found": True,
+              "version": "0.3.31.188.0", "detection method": "pkgconfig",
+              "openblas configuration": "OpenBLAS 0.3.31.188.0 DYNAMIC_ARCH"}
+    assert pairs.parse_blas(json.dumps(record) + "\n") == {
+        "blas": "scipy-openblas", "blas_version": "0.3.31.188.0"}
+    assert pairs.parse_blas("") == {"blas": None, "blas_version": None}

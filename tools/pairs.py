@@ -13,7 +13,8 @@ The output file holds, per workload and end-to-end metric of
 BENCHMARK.json, the values of each pair, each side's median and
 quartiles, and the number of pairs the tree won; per workload, the
 correct and failed counts of each side; and the core count,
-OPENBLAS_NUM_THREADS and the Python, numpy and scipy versions.  The
+OPENBLAS_NUM_THREADS, the Python, numpy and scipy versions, and the BLAS
+vendor and version that numpy.show_config reports.  The
 quartiles are statistics.quantiles(values, n=4), with which
 perfbench/README.md defines a workload's spread.  It then
 runs tools/diff_outputs.py on the same pair and stores its report.  Only
@@ -35,6 +36,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SIDES = ("parent", "tree")
 PAIRS = 10
+# numpy's record of the BLAS it was built against, as one JSON line; run
+# in a child interpreter, so that this script imports no numpy
+BLAS_PROBE = ("import json, numpy; print(json.dumps(numpy.show_config("
+              "mode='dicts')['Build Dependencies']['blas']))")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -46,13 +51,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return parse_report(proc.stdout)
 
 
-def parse_report(stdout: str) -> dict:
-    """The last line of a run's standard output, as JSON; a run that
-    printed none counts as one failed operation."""
+def last_json_line(stdout: str):
+    """The last line of stdout as JSON, or None when it is not JSON."""
     try:
         return json.loads(stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
+        return None
+
+
+def parse_report(stdout: str) -> dict:
+    """The last line of a run's standard output, as JSON; a run that
+    printed none counts as one failed operation."""
+    return last_json_line(stdout) or {
+        "correct": False, "attempted": 0, "failed": 1, "metrics": {}}
 
 
 def summarize(pairs: list, end_to_end: list) -> dict:
@@ -91,11 +102,21 @@ def quartiles(values: list) -> list:
     return [q1, q3]
 
 
+def parse_blas(stdout: str) -> dict:
+    """BLAS vendor and version from BLAS_PROBE's output line, None for
+    each when the probe printed no record."""
+    record = last_json_line(stdout) or {}
+    return {"blas": record.get("name"), "blas_version": record.get("version")}
+
+
 def environment() -> dict:
+    probe = subprocess.run([sys.executable, "-c", BLAS_PROBE],
+                           capture_output=True, text=True)
     return {"cores": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "python": platform.python_version(),
-            **{name: metadata.version(name) for name in ("numpy", "scipy")}}
+            **{name: metadata.version(name) for name in ("numpy", "scipy")},
+            **parse_blas(probe.stdout)}
 
 
 def main(argv=None) -> int:
