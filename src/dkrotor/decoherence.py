@@ -6,11 +6,13 @@ Two realizations are provided:
 * a density-matrix map where the recoil is discretized onto the ladder,
   mixing each element with its diagonal neighbours,
       rho'[m,n] = eta/2 (rho[m+1,n+1] + rho[m-1,n-1]) + (1-eta) rho[m,n],
-  with periodic wrap (the edges carry negligible population).  The map
-  commutes with the reflection n -> -n, so at q = 0 a parity-even state
-  stays even, and the coherent half of each cycle runs on the parity
-  blocks of U (see run_decohered), dropping only the hard wall's
-  parity breaking at the ladder's edge, where the state has no weight;
+  with periodic wrap (the edges carry negligible population).  The
+  shifts n -> n +- 1 are diagonal in the angle basis |theta_a>, where
+  the map is one elementwise weighting.  It commutes with the
+  reflection n -> -n, so at q = 0 a parity-even state stays even, and
+  the whole run stays in the parity blocks of the angle basis (see
+  run_decohered), dropping only the hard wall's parity breaking at the
+  ladder's edge, where the state has no weight;
 
 * a Monte Carlo wavefunction model (Dalibard, Castin & Molmer, PRL 68,
   580, 1992) where each trajectory suffers an emission with
@@ -33,15 +35,13 @@ transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import itemgetter
 
 import numpy as np
 
 from .pulses import KickConfig, barrier
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
-                      _evolution_result, _is_diagonal, _reflection,
-                      build_period_operator, evolve_density,
+                      _evolution_result, _is_diagonal, _real_matmul,
+                      _reflection, build_period_operator, evolve_density,
                       initial_density)
 
 ANTI_ZENO = "anti-zeno"
@@ -109,18 +109,25 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
     propagate the distribution with the doubly stochastic matrix |U|^2
     once the state is diagonal.
 
-    An emission kick at q = 0 from a parity-even rho0 (R rho0 R = rho0,
-    R = quantum._reflection; initial_density is one) conjugates by the
-    parity average Ubar = (U + RUR)/2 in its even and odd blocks
-    (_parity_blocks): four products of half size, a quarter of the flops
-    of U rho U+.  Since the map commutes with R, rho stays even.  With
-    D = (U - RUR)/2, the even part of U rho U+ is
+    An emission run at q = 0 from a parity-even rho0 (R rho0 R = rho0,
+    R = quantum._reflection; initial_density is one) goes once into the
+    angle basis |theta_a> = N^-1/2 sum_n exp(2 pi i a n / N) |n>, in its
+    even and odd blocks (_angle_basis), and comes back once at the end.
+    There the recoil |n> -> |n +- 1> is diag(exp(-+i theta_a)), so the
+    map weighs rho_ab by 1 - eta + eta cos(theta_a - theta_b): the
+    cosines weigh each block, and the sines couple the even block's
+    paired rows with the odd block (_angle_map).  Each kick
+    conjugates the blocks by those of the parity average
+    Ubar = (U + RUR)/2, four products of half size, a quarter of the
+    flops of U rho U+, and reads the distribution off one real product
+    of half size per block.  Since the map commutes with R, rho stays
+    even.  With D = (U - RUR)/2, the even part of U rho U+ is
     Ubar rho Ubar+ + D rho D+, so each kick drops D rho D+ and the odd
     part Ubar rho D+ + D rho Ubar+.  Both are roundoff: D is the hard
     wall at rung -N/2, above 1e-12 only on rows |n| >= 53 / 113 / 235 at
     N = 128 / 256 / 512 (K = 280), where rho stays below 3e-12, and U's
     own roundoff elsewhere.  Any other run kicks the whole ladder by
-    U rho U+.
+    U rho U+ and maps it by _emission_map_into.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
@@ -151,17 +158,49 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
 
     r = _reflection(op.basis.size)
     if op.basis.q == 0.0 and np.array_equal(rho0, rho0[r][:, r]):
-        fold = _parity_blocks
-        unfold = partial(_from_parity_blocks, size=op.basis.size)
+        rho = _angle_block_kicks(rho0, U, model.eta, dists)
     else:
-        fold, unfold = (lambda X: (X,)), itemgetter(0)
-    blocks = [(A, A.conj().T) for A in fold(U)]
-    rho = rho0
-    for t in range(1, kicks + 1):
-        kicked = [A @ X @ A_dag for (A, A_dag), X in zip(blocks, fold(rho))]
-        rho = _emission_map_into(unfold(kicked), model.eta)
-        dists[t] = np.real(np.diag(rho))
+        U_dag = U.conj().T
+        rho = rho0
+        for t in range(1, kicks + 1):
+            rho = _emission_map_into(U @ rho @ U_dag, model.eta)
+            dists[t] = np.real(np.diag(rho))
     return _evolution_result(dists, op, rho)
+
+
+def _angle_block_kicks(rho0: np.ndarray, U: np.ndarray, eta: float,
+                       dists: np.ndarray) -> np.ndarray:
+    """The emission kicks of run_decohered in the parity blocks of the
+    angle basis, from a parity-even rho0; writes the distribution after
+    kick t into dists[t] and returns the final rho on the ladder."""
+    size = dists.shape[1]
+    h, ends, pos, neg = _mirror_slices(size)
+    C, dC = _angle_basis(size)
+
+    def across(blocks):
+        """Parity blocks taken between the ladder and the angle basis,
+        either way, since Q is its own inverse."""
+        return [_conjugated(c, dc, X) for c, dc, X in zip(C, dC, blocks)]
+
+    emission = _angle_map(size, eta)
+    blocks, kick = across(_parity_blocks(rho0)), across(_parity_blocks(U))
+    kick_dag = [np.ascontiguousarray(A.conj().T) for A in kick]
+    half = [np.empty_like(X) for X in blocks]
+    real, turned = ([np.empty(c.shape) for c in C] for _ in range(2))
+    for t in range(1, dists.shape[0]):
+        for A, A_dag, X, Y in zip(kick, kick_dag, blocks, half):
+            np.dot(A, X, out=Y)
+            np.dot(Y, A_dag, out=X)
+        emission(*blocks)
+        # diag(C Re X C): C is real and symmetric, and Im X antisymmetric
+        d = []
+        for c, X, R, CR in zip(C, blocks, real, turned):
+            np.copyto(R, X.real)
+            np.dot(c, R, out=CR)
+            d.append(np.einsum("ij,ij->i", CR, c))
+        dists[t, ends] = d[0][:2]
+        dists[t, pos] = dists[t, neg] = 0.5 * (d[0][2:h + 1] + d[1][:h - 1])
+    return _from_parity_blocks(across(blocks), size)
 
 
 def _padded(rows: int) -> int:
@@ -209,6 +248,85 @@ def _from_parity_blocks(blocks: tuple, size: int) -> np.ndarray:
     X[pos, pos] = X[neg, neg] = 0.5 * (even + odd)
     X[pos, neg] = X[neg, pos] = 0.5 * (even - odd)
     return X
+
+
+def _angle_basis(size: int) -> tuple:
+    """((C_E, C_O), (dC_E, dC_O)): the angle basis |theta_a> = N^-1/2
+    sum_n exp(2 pi i a n / N) |n> on the rows of _parity_blocks.
+
+    The DFT takes n -> -n to a -> -a, so the even block's states,
+    |theta_0>, |theta_N/2> and (|theta_a> + |theta_-a>)/sqrt2 for
+    a = 1 .. N/2 - 1, are real cosines, and the odd block's,
+    (|theta_a> - |theta_-a>)/sqrt2, are i times real sines (the i
+    cancels in a block).  Q_E and Q_O, one state a column, are real,
+    symmetric and orthogonal, so a block X goes across as Q X Q, either
+    way.  They are computed in np.longdouble and rounded to C; dC = C - Q
+    is the rounding (zero where longdouble is double), which _conjugated
+    takes out.  All are zero-padded as the blocks are.
+    """
+    h = size // 2
+    even, odd = np.r_[0, h, 1:h], np.arange(1, h)
+    # cos and sin of 2 pi j / N, indexed by j = a n mod N
+    angle = 2 * np.arccos(np.longdouble(-1)) / size * np.arange(size)
+    # norms 1 / sqrt N on |0> and |-N/2>, sqrt(2 / N) on the pairs
+    g2 = np.r_[1, 1, np.full(h - 1, 2)]
+    exact = (np.sqrt(np.outer(g2, g2) / np.longdouble(size))
+             * np.cos(angle)[np.outer(even, even) % size],
+             2 / np.sqrt(np.longdouble(size))
+             * np.sin(angle)[np.outer(odd, odd) % size])
+    C, dC = [], []
+    for Q in exact:
+        m = Q.shape[0]
+        c, dc = (np.zeros((_padded(m),) * 2) for _ in range(2))
+        c[:m, :m] = Q
+        dc[:m, :m] = c[:m, :m] - Q
+        C.append(c)
+        dC.append(dc)
+    return C, dC
+
+
+def _angle_map(size: int, eta: float):
+    """The emission map on the angle blocks, as a function that writes
+    it over (E, O).
+
+    The recoil |n> -> |n +- 1> is diag(exp(-+i theta_a)) in the angle
+    basis, so the map weighs rho_ab by 1 - eta + eta cos(theta_a -
+    theta_b), where cos(theta_a - theta_b) = cos theta_a cos theta_b
+    + sin theta_a sin theta_b.  The cosines keep parity: each block is
+    weighed by W = 1 - eta + eta c c^T, c = [1, -1, cos theta_a] on E
+    and cos theta_a on O.  The sines swap it: S = eta s s^T,
+    s = sin theta_a, carries O into E's paired rows and those into O.
+    """
+    h = size // 2
+    theta = 2.0 * np.pi / size * np.arange(1, h)
+    W_E, W_O = (np.zeros((_padded(m),) * 2) for m in (h + 1, h - 1))
+    for W, c in ((W_E, np.r_[1.0, -1.0, np.cos(theta)]),
+                 (W_O, np.cos(theta))):
+        W[:c.size, :c.size] = 1.0 - eta + eta * np.outer(c, c)
+    S = eta * np.outer(np.sin(theta), np.sin(theta))
+
+    def apply(E, O):
+        paired, odd = E[2:h + 1, 2:h + 1], O[:h - 1, :h - 1]
+        to_even, to_odd = S * odd, S * paired
+        E *= W_E
+        O *= W_O
+        paired += to_even
+        odd += to_odd
+    return apply
+
+
+def _conjugated(C: np.ndarray, dC: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Q X Q for the real symmetric Q = C - dC of _angle_basis, in C order.
+
+    C X C, as (C (C X)^T)^T, less dC X C + C X dC, summed apart so that
+    dC is not lost to rounding; dC^2 is smaller by a factor eps.  The
+    kick needs this: built from C alone, every kick would apply the same
+    symmetric C^2 - I of C's rounding, a non-unitarity that adds up over
+    the kicks (it moved the N = 128 outside fraction by 2-3e-15 in 70).
+    """
+    CX = _real_matmul(C, X)
+    slack = _real_matmul(C, _real_matmul(dC, X).T) + _real_matmul(dC, CX.T)
+    return np.ascontiguousarray((_real_matmul(C, CX.T) - slack).T)
 
 
 class OperatorCache:

@@ -35,6 +35,7 @@ the probability beyond the drive's cantorus (pulses.barrier).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -144,8 +145,9 @@ def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A @ X for real A and complex X, on the interleaved real view of X,
     so A is never cast to complex."""
     X = np.ascontiguousarray(X, dtype=complex)
-    # the width is explicit because -1 cannot be inferred for no columns
-    Y = np.dot(A, X.view(np.float64).reshape(X.shape[0], 2 * X[0].size))
+    # the width is explicit because -1 cannot be inferred for an empty X
+    width = 2 * math.prod(X.shape[1:])
+    Y = np.dot(A, X.view(np.float64).reshape(X.shape[0], width))
     return Y.view(complex).reshape(X.shape)
 
 

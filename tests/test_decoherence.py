@@ -5,7 +5,8 @@ import pytest
 
 from dkrotor import decoherence
 from dkrotor.decoherence import (Q_GRID, EmissionModel, MCResult,
-                                 OperatorCache, _emission_map_into,
+                                 OperatorCache, _angle_basis, _angle_map,
+                                 _conjugated, _emission_map_into,
                                  _from_parity_blocks, _ladder_split,
                                  _parity_blocks, mc_wavefunction_run,
                                  run_decohered)
@@ -144,6 +145,71 @@ def test_parity_blocks_match_the_parity_basis(n):
     even = Se @ Se.T @ X @ Se @ Se.T + So @ So.T @ X @ So @ So.T
     np.testing.assert_allclose(_from_parity_blocks((E, O), n), even,
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 128])
+def test_angle_basis_is_orthogonal_and_diagonalizes_the_shift(n):
+    h = n // 2
+    (C_E, C_O), (dC_E, dC_O) = _angle_basis(n)
+    # zero-padded to a multiple of 8 rows and columns, like the blocks
+    assert C_E.shape[0] % 8 == 0 and C_O.shape[0] % 8 == 0
+    for C, dC, m in ((C_E, dC_E, h + 1), (C_O, dC_O, h - 1)):
+        np.testing.assert_allclose(C[:m, :m].T @ C[:m, :m], np.eye(m),
+                                   atol=1e-15)
+        assert not C[m:].any() and not C[:, m:].any()
+        assert not dC[m:].any() and not dC[:, m:].any()
+        # dC is C's rounding, at most half an ulp, and C - dC is
+        # orthogonal to the precision of np.longdouble
+        assert np.all(np.abs(dC) <= 0.5 * np.spacing(np.abs(C)))
+        Q = C[:m, :m].astype(np.longdouble) - dC[:m, :m]
+        ext = np.finfo(np.longdouble).eps
+        np.testing.assert_allclose(Q.T @ Q, np.eye(m), atol=4 * m * ext)
+    # |theta_a> = (cosine + i sine)/sqrt2 from the blocks' columns, and
+    # |theta_-a> = (cosine - i sine)/sqrt2, against the definition
+    # N^-1/2 sum_n exp(2 pi i a n / N) |n>, with a n reduced mod N
+    Se, So = _parity_basis(n)
+    cos, sin = Se @ C_E[:h + 1, :h + 1], So @ C_O[:h - 1, :h - 1]
+    theta = np.empty((n, n), dtype=complex)
+    theta[:, 0], theta[:, h] = cos[:, 0], cos[:, 1]
+    theta[:, 1:h] = (cos[:, 2:] + 1j * sin) / np.sqrt(2)
+    theta[:, :h:-1] = (cos[:, 2:] - 1j * sin) / np.sqrt(2)
+    a = np.arange(n)
+    phase = np.outer(np.arange(n) - h, a) % n
+    np.testing.assert_allclose(theta, np.exp(2j * np.pi * phase / n)
+                               / np.sqrt(n), atol=1e-15)
+    # the recoil shift |n> -> |n + 1>, wrapped, is diag(exp(-i theta_a))
+    shift = np.roll(np.eye(n), 1, axis=0)
+    np.testing.assert_allclose(theta.conj().T @ shift @ theta,
+                               np.diag(np.exp(-2j * np.pi * a / n)),
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 128])
+def test_angle_block_map_matches_emission_map(n, eta):
+    # Taken into the angle blocks, mapped there and taken back, a
+    # parity-even rho must match the ladder map.  rho is positive with
+    # unit trace, so |rho|_2 <= 1, and the rows of C_E and C_O are unit
+    # vectors: each of the four products C X sums m <= N/2 + 1 terms
+    # whose sizes add to at most |rho|_2 (Cauchy-Schwarz), and rounds an
+    # entry by at most m eps.  The orthogonal products carry earlier
+    # errors on without growth, and the fold, the weights and the unfold
+    # add a few eps: (2 N + 12) eps in all, 3.1e-14 at N = 128.
+    atol = (2 * n + 12) * np.finfo(float).eps
+    r = _reflection(n)
+    rho = _random_density(n, n)
+    rho = 0.5 * (rho + rho[r][:, r])
+    C, dC = _angle_basis(n)
+    blocks = [_conjugated(c, dc, X)
+              for c, dc, X in zip(C, dC, _parity_blocks(rho))]
+    before = [X.copy() for X in blocks]
+    _angle_map(n, eta)(*blocks)
+    if eta == 0.0:
+        assert all(map(np.array_equal, blocks, before))
+    back = _from_parity_blocks([_conjugated(c, dc, X)
+                                for c, dc, X in zip(C, dC, blocks)], n)
+    np.testing.assert_allclose(back, _emission_map_into(rho.copy(), eta),
+                               rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("n, hbar, edge", [(128, 2.6, 53), (256, 1.3, 113)])

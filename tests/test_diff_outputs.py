@@ -49,10 +49,18 @@ def test_split_numbers_keeps_names_and_reads_values():
 @pytest.mark.parametrize("old,new,result", [
     ("kick,x\n0,0.5\n1,nan\n", "kick,x\n0,0.5\n1,nan\n", "identical"),
     # the same numbers spelled differently are no difference
-    ("kick,x\n0,0.5\n1,nan\n", "kick,x\n0,0.50\n1,nan\n", "max |diff| 0"),
+    ("kick,x\n0,0.5\n1,nan\n", "kick,x\n0,0.50\n1,nan\n",
+     "max |diff| 0 (rel 0)"),
     ("kick,x\n0,0.5\n1,0.25\n", "kick,x\n0,0.5\n1,0.25000000000000006\n",
-     "max |diff| 5.55e-17"),
-    ("kick,x\n0,0.5\n1,nan\n", "kick,x\n0,0.5\n1,0.25\n", "max |diff| inf"),
+     "max |diff| 5.55e-17 (rel 2.2e-16)"),
+    # one ulp of a value near 1024 is large in absolute terms only
+    ('{"norm_constant": 1023.999999999965, "S": 0.5}\n',
+     '{"norm_constant": 1023.9999999999652, "S": 0.5}\n',
+     "max |diff| 2.27e-13 (rel 2.2e-16)"),
+    ("kick,x\n0,0.5\n1,nan\n", "kick,x\n0,0.5\n1,0.25\n",
+     "max |diff| inf (rel inf)"),
+    ("kick,x\n0,0.5\n1,inf\n", "kick,x\n0,0.5\n1,0.25\n",
+     "max |diff| inf (rel inf)"),
     ('{"S": 0.5, "valid": true}\n', '{"S": 0.5, "valid": false}\n',
      "text differs"),
     ("kick,x\n0,0.5\n", "kick,x\n0,0.5\n1,0.25\n", "text differs"),
@@ -74,7 +82,7 @@ def test_compare_trees_reports_every_data_file(tmp_path):
         (root / "run.ini").write_text(f"[run]\nout = {root}\n")
     (old / "run" / "gone.csv").write_text("x\n1\n")
     assert diff_outputs.compare_trees(old, new) == [
-        (Path("run/a.csv"), "max |diff| 0.25"),
+        (Path("run/a.csv"), "max |diff| 0.25 (rel 0.33)"),
         (Path("run/gone.csv"), "only in old"),
         (Path("run/same.json"), "identical"),
     ]

@@ -7,9 +7,11 @@ parent commit, say, and the working tree).  Every config of MATRIX runs
 as `dkrotor run` in each, with that tree's `src` on PYTHONPATH and
 THREADS BLAS threads for both, since the thread count moves
 floating-point sums.  Each data file is then reported as `identical`
-(the same bytes), by the largest absolute difference between the
-numbers the two files hold, or as differing in its text around those
-numbers.  manifest.json is left out: it records the wall time.
+(the same bytes), by the largest absolute and the largest relative
+difference, |x - y| / max(|x|, |y|), between the numbers the two files
+hold, or as differing in its text around those numbers.  The relative
+one tells a one-ulp move of a large value from a real move.
+manifest.json is left out: it records the wall time.
 
 The matrix covers every mode and decoherence channel at K = 280 and the
 default ladder (N = 128), and quantum, floquet and wigner runs at
@@ -88,14 +90,20 @@ def split_numbers(text: str) -> tuple:
     return NUMBER.sub("#", text), values
 
 
-def _distance(x: float, y: float) -> float:
+def _distance(x: float, y: float) -> tuple:
+    """(|x - y|, |x - y| / max(|x|, |y|)); NaN is 0 from NaN and inf from
+    any number."""
     if math.isnan(x) or math.isnan(y):
-        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
-    return 0.0 if x == y else abs(x - y)
+        d = 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+        return d, d
+    if x == y:
+        return 0.0, 0.0
+    d = abs(x - y)
+    return d, (d / max(abs(x), abs(y)) if math.isfinite(d) else d)
 
 
 def compare_files(old: Path, new: Path) -> str:
-    """'identical', 'max |diff| <d>', or how the texts differ."""
+    """'identical', 'max |diff| <d> (rel <r>)', or how the texts differ."""
     a, b = old.read_bytes(), new.read_bytes()
     if a == b:
         return "identical"
@@ -103,7 +111,8 @@ def compare_files(old: Path, new: Path) -> str:
                                           for t in (a, b))
     if skel_a != skel_b or len(vals_a) != len(vals_b):
         return "text differs"
-    return f"max |diff| {max(map(_distance, vals_a, vals_b)):.3g}"
+    absolute, relative = map(max, zip(*map(_distance, vals_a, vals_b)))
+    return f"max |diff| {absolute:.3g} (rel {relative:.2g})"
 
 
 def compare_trees(old: Path, new: Path) -> list:
