@@ -16,7 +16,8 @@ on disk through ``_write``: a dict payload as JSON, a (header, table,
 formats) payload as CSV by ``np.savetxt`` with an explicit %-conversion
 per column.  ``run`` then records every file with its sha256 checksum in
 manifest.json, or on a failure removes the files it wrote.  Identical
-spec and seed reproduce byte-identical data files.
+spec and seed reproduce byte-identical data files on one BLAS thread
+count.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ Two realizations are provided:
   shifts n -> n +- 1 are diagonal in the angle basis |theta_a>, where
   the map is one elementwise weighting.  It commutes with the
   reflection n -> -n, so at q = 0 a parity-even state stays even, and
-  the whole run stays in the parity blocks of the angle basis (see
-  run_decohered), dropping only the hard wall's parity breaking at the
-  ladder's edge, where the state has no weight;
+  run_decohered keeps the whole run in the parity blocks of the angle
+  basis; it refuses any other q or start, and drops only the hard
+  wall's parity breaking at the ladder's edge, where rho has no weight;
 
 * a Monte Carlo wavefunction model (Dalibard, Castin & Molmer, PRL 68,
   580, 1992) where each trajectory suffers an emission with
@@ -40,9 +40,9 @@ import numpy as np
 
 from .pulses import KickConfig, barrier
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
-                      _evolution_result, _is_diagonal, _real_matmul,
-                      _reflection, build_period_operator, evolve_density,
-                      initial_density)
+                      _check_density, _evolution_result, _is_diagonal,
+                      _mirror_slices, _real_matmul, build_period_operator,
+                      evolve_density, initial_density)
 
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000
@@ -81,22 +81,25 @@ class EmissionModel:
 
 
 def _emission_map_into(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Discretized-recoil emission map written over rho, which it returns;
-    trace-preserving, periodic wrap.  EmissionModel validates eta."""
-    # rho[m+1, n+1] + rho[m-1, n-1], wrapped, in eight slice operations
-    shifted = np.empty_like(rho)
-    shifted[:-1, :-1] = rho[1:, 1:]
-    shifted[:-1, -1] = rho[1:, 0]
-    shifted[-1, :-1] = rho[0, 1:]
-    shifted[-1, -1] = rho[0, 0]
-    shifted[1:, 1:] += rho[:-1, :-1]
-    shifted[1:, 0] += rho[:-1, -1]
-    shifted[0, 1:] += rho[-1, :-1]
-    shifted[0, 0] += rho[-1, -1]
+    """The emission map of the module docstring by its definition, written
+    over rho, which it returns: the reference for run_decohered's angle
+    blocks.  EmissionModel validates eta."""
+    shifted = np.roll(rho, (-1, -1), axis=(0, 1))
+    shifted += np.roll(rho, (1, 1), axis=(0, 1))
     shifted *= 0.5 * eta
     rho *= 1.0 - eta
     rho += shifted
     return rho
+
+
+def _parity_even(X: np.ndarray) -> bool:
+    """True when R X R = X for the reflection R of n -> -n, compared on
+    the views of quantum._mirror_slices, with no copy of X."""
+    _, ends, pos, neg = _mirror_slices(X.shape[0])
+    return (np.array_equal(X[pos, pos], X[neg, neg])
+            and np.array_equal(X[pos, neg], X[neg, pos])
+            and np.array_equal(X[ends, pos], X[ends, neg])
+            and np.array_equal(X[pos, ends], X[neg, ends]))
 
 
 def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
@@ -105,18 +108,19 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
 
     model is None for purely coherent evolution (evolve_density), an
     EmissionModel for the spontaneous-emission map, or the string
-    "anti-zeno".  Anti-Zeno runs keep only the diagonal, so they
-    propagate the distribution with the doubly stochastic matrix |U|^2
-    once the state is diagonal.
+    "anti-zeno".  Each refuses a rho0 that is not a density matrix
+    (quantum._check_density).  Anti-Zeno runs keep only the diagonal, so
+    they propagate the distribution with the doubly stochastic matrix
+    |U|^2 once the state is diagonal.
 
-    An emission run at q = 0 from a parity-even rho0 (R rho0 R = rho0,
-    R = quantum._reflection; initial_density is one) goes once into the
-    angle basis |theta_a> = N^-1/2 sum_n exp(2 pi i a n / N) |n>, in its
-    even and odd blocks (_angle_basis), and comes back once at the end.
-    There the recoil |n> -> |n +- 1> is diag(exp(-+i theta_a)), so the
-    map weighs rho_ab by 1 - eta + eta cos(theta_a - theta_b): the
-    cosines weigh each block, and the sines couple the even block's
-    paired rows with the odd block (_angle_map).  Each kick
+    Emission runs raise ValueError unless q = 0 and rho0 is parity-even,
+    R rho0 R = rho0 for R: n -> -n (initial_density is).  Such a run goes
+    once into the angle basis |theta_a> = N^-1/2 sum_n exp(2 pi i a n / N)
+    |n>, in its even and odd blocks (_angle_basis), and comes back once
+    at the end.  There the recoil |n> -> |n +- 1> is diag(exp(-+i
+    theta_a)), so the map weighs rho_ab by 1 - eta + eta cos(theta_a -
+    theta_b): the cosines weigh each block, and the sines couple the
+    even block's paired rows with the odd block (_angle_map).  Each kick
     conjugates the blocks by those of the parity average
     Ubar = (U + RUR)/2, four products of half size, a quarter of the
     flops of U rho U+, and reads the distribution off one real product
@@ -126,8 +130,7 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
     part Ubar rho D+ + D rho Ubar+.  Both are roundoff: D is the hard
     wall at rung -N/2, above 1e-12 only on rows |n| >= 53 / 113 / 235 at
     N = 128 / 256 / 512 (K = 280), where rho stays below 3e-12, and U's
-    own roundoff elsewhere.  Any other run kicks the whole ladder by
-    U rho U+ and maps it by _emission_map_into.
+    own roundoff elsewhere.
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
@@ -138,6 +141,7 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
                          "the density-matrix map is inherently discretized")
     if not (isinstance(model, EmissionModel) or model == ANTI_ZENO):
         raise ValueError(f"unknown decoherence model: {model!r}")
+    _check_density(rho0)
 
     U = op.U
     dists = np.empty((kicks + 1, op.basis.size))
@@ -156,24 +160,13 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
             d = dists[t] = M @ d
         return _evolution_result(dists, op, np.diag(d).astype(complex))
 
-    r = _reflection(op.basis.size)
-    if op.basis.q == 0.0 and np.array_equal(rho0, rho0[r][:, r]):
-        rho = _angle_block_kicks(rho0, U, model.eta, dists)
-    else:
-        U_dag = U.conj().T
-        rho = rho0
-        for t in range(1, kicks + 1):
-            rho = _emission_map_into(U @ rho @ U_dag, model.eta)
-            dists[t] = np.real(np.diag(rho))
-    return _evolution_result(dists, op, rho)
+    if op.basis.q != 0.0:
+        raise ValueError(f"emission runs need q = 0, got q = {op.basis.q}")
+    if not _parity_even(rho0):
+        raise ValueError("emission runs need a parity-even rho0, "
+                         "R rho0 R = rho0 for R: n -> -n")
 
-
-def _angle_block_kicks(rho0: np.ndarray, U: np.ndarray, eta: float,
-                       dists: np.ndarray) -> np.ndarray:
-    """The emission kicks of run_decohered in the parity blocks of the
-    angle basis, from a parity-even rho0; writes the distribution after
-    kick t into dists[t] and returns the final rho on the ladder."""
-    size = dists.shape[1]
+    size = op.basis.size
     h, ends, pos, neg = _mirror_slices(size)
     C, dC = _angle_basis(size)
 
@@ -182,12 +175,12 @@ def _angle_block_kicks(rho0: np.ndarray, U: np.ndarray, eta: float,
         either way, since Q is its own inverse."""
         return [_conjugated(c, dc, X) for c, dc, X in zip(C, dC, blocks)]
 
-    emission = _angle_map(size, eta)
+    emission = _angle_map(size, model.eta)
     blocks, kick = across(_parity_blocks(rho0)), across(_parity_blocks(U))
     kick_dag = [np.ascontiguousarray(A.conj().T) for A in kick]
     half = [np.empty_like(X) for X in blocks]
     real, turned = ([np.empty(c.shape) for c in C] for _ in range(2))
-    for t in range(1, dists.shape[0]):
+    for t in range(1, kicks + 1):
         for A, A_dag, X, Y in zip(kick, kick_dag, blocks, half):
             np.dot(A, X, out=Y)
             np.dot(Y, A_dag, out=X)
@@ -200,20 +193,13 @@ def _angle_block_kicks(rho0: np.ndarray, U: np.ndarray, eta: float,
             d.append(np.einsum("ij,ij->i", CR, c))
         dists[t, ends] = d[0][:2]
         dists[t, pos] = dists[t, neg] = 0.5 * (d[0][2:h + 1] + d[1][:h - 1])
-    return _from_parity_blocks(across(blocks), size)
+    return _evolution_result(dists, op,
+                             _from_parity_blocks(across(blocks), size))
 
 
 def _padded(rows: int) -> int:
     """rows rounded up to a multiple of PARITY_ALIGN."""
     return -(-rows // PARITY_ALIGN) * PARITY_ALIGN
-
-
-def _mirror_slices(size: int) -> tuple:
-    """h = N/2 and the ladder rows as slices: rung 0 then -N/2 (h::-h),
-    and rungs n and -n for n = 1 .. h - 1 (h+1: and h-1:0:-1), the
-    pairs of quantum._reflection."""
-    h = size // 2
-    return h, slice(h, None, -h), slice(h + 1, None), slice(h - 1, 0, -1)
 
 
 def _parity_blocks(X: np.ndarray) -> tuple:
@@ -426,7 +412,8 @@ def mc_wavefunction_run(cfg: KickConfig, basis: MomentumBasis,
     model.recoil_mode selects the emission.  "discretized" applies U on
     the ladder of `basis` and then, with probability eta, shifts the
     ladder by +-1 with equal odds; q stays fixed and the average is an
-    exact unraveling of run_decohered with the same model.
+    exact unraveling of the emission map.  At q = 0, where the initial
+    Gaussian is parity-even, that is run_decohered with the same model.
     "continuous" recoils by u*hbar, u uniform in [-1, 1], at a uniform
     on-pulse time.  q = k / Q_GRID on an integer key k, basis.q rounded
     and wrapped at the start; each emission adds round(Q_GRID u) to k.

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import MomentumBasis, PeriodOperator, _reflection
+from .quantum import MomentumBasis, PeriodOperator, _mirror_slices
 
 UNITARITY_REJECT = 1e-6
 
@@ -89,5 +89,7 @@ def asymptotic_matrix(dec: FloquetDecomposition) -> np.ndarray:
     """
     P = np.abs(dec.vectors)**2
     if dec.basis.q == 0.0:
-        P = 0.5 * (P + P[_reflection(dec.basis.size)])
+        # rungs 0 and -N/2 are their own images, so their rows stay
+        _, _, pos, neg = _mirror_slices(dec.basis.size)
+        P[pos] = P[neg] = 0.5 * (P[pos] + P[neg])
     return P @ P.T

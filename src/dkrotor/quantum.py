@@ -44,7 +44,7 @@ import numpy as np
 from .pulses import KickConfig, barrier
 
 # largest anti-Hermitian part and most negative eigenvalue accepted in a
-# density matrix handed to evolve_density
+# density matrix handed to evolve_density or run_decohered
 DENSITY_TOL = 1e-12
 # largest |U_s - U_s^T| accepted as complex symmetric, and largest
 # eigen-residual max |U_s O - O diag(lambda)| accepted from a solve
@@ -248,10 +248,15 @@ def _evolution_result(dists: np.ndarray, op: PeriodOperator,
                            final_density=final_density)
 
 
-def _reflection(size: int) -> np.ndarray:
-    """Row of -n for each row of n: the reflection n -> -n on the ladder
-    read as Z_N, row i -> (N - i) mod N.  Rung -N/2 is its own image."""
-    return (size - np.arange(size)) % size
+def _mirror_slices(size: int) -> tuple:
+    """The reflection n -> -n on the ladder read as Z_N, as row slices.
+
+    Returns h = N/2, rung 0 then rung -N/2 (h::-h), which are their own
+    images, and rungs n and -n for n = 1 .. h - 1 (h+1: and h-1:0:-1),
+    so that row pos[k] reflects onto row neg[k].
+    """
+    h = size // 2
+    return h, slice(h, None, -h), slice(h + 1, None), slice(h - 1, 0, -1)
 
 
 def _is_diagonal(rho: np.ndarray) -> bool:
@@ -260,14 +265,10 @@ def _is_diagonal(rho: np.ndarray) -> bool:
     return np.count_nonzero(rho) == np.count_nonzero(np.diagonal(rho))
 
 
-def _into_frame(rho: np.ndarray, op: PeriodOperator) -> np.ndarray:
-    """G = O^T s^-1 rho s O, the density matrix rho in the Floquet frame
-    of op.
-
-    rho must be Hermitian and positive semidefinite to DENSITY_TOL.  A
-    diagonal rho is judged by its diagonal alone, with no eigensolve, and
-    commutes with s, so its G is the real O^T diag(rho) O.
-    """
+def _check_density(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is Hermitian and positive semidefinite
+    to DENSITY_TOL.  A diagonal rho is judged by its diagonal alone, with
+    no eigensolve."""
     d = np.diagonal(rho)
     diagonal = _is_diagonal(rho)
     # off the diagonal a diagonal rho is exactly Hermitian
@@ -280,9 +281,17 @@ def _into_frame(rho: np.ndarray, op: PeriodOperator) -> np.ndarray:
     if lam.min() < -DENSITY_TOL:
         raise ValueError(f"rho must be positive semidefinite, smallest "
                          f"eigenvalue {lam.min():.3g}")
+
+
+def _into_frame(rho: np.ndarray, op: PeriodOperator) -> np.ndarray:
+    """G = O^T s^-1 rho s O, the density matrix rho in the Floquet frame
+    of op, after _check_density.  A diagonal rho commutes with s, so its
+    G is the real O^T diag(rho) O.
+    """
+    _check_density(rho)
     s, O, _, _ = op.floquet_basis
-    if diagonal:
-        return ((O.T * d.real) @ O).astype(complex)
+    if _is_diagonal(rho):
+        return ((O.T * np.diagonal(rho).real) @ O).astype(complex)
     B = _real_matmul(O.T, s.conj()[:, None] * rho * s)
     # B O as (O^T B^T)^T, so O stays real; C order for the kick loop
     return np.ascontiguousarray(_real_matmul(O.T, B.T).T)

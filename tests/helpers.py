@@ -9,9 +9,10 @@ from a split-operator scheme on the angle grid instead of the
 tridiagonal eigenbasis, and the Floquet basis comes from a complex Schur
 factorization of the lab-frame U instead of the real Cayley eigensolve.
 The trajectory reference runs the Monte Carlo
-wavefunction model one realization and one kick at a time.  Keep them
-dumb and slow; their only job is to disagree loudly when the fast
-implementations drift.
+wavefunction model one realization and one kick at a time, and the
+reflection n -> -n is an index array, where the package uses slices.
+Keep them dumb and slow; their only job is to disagree loudly when the
+fast implementations drift.
 
 The three-region decay rate and model curves and the INI writer for an
 ExperimentSpec are used by the tests alone.
@@ -242,6 +243,40 @@ def narrow_packet(basis, center, width, seed):
     amp = np.exp(-(n - center)**2 / (4.0 * width**2))
     psi = amp * np.exp(2j * np.pi * rng.random(basis.size))
     return psi / np.linalg.norm(psi)
+
+
+def reflection(size):
+    """Row of -n for each row of n: the reflection n -> -n on the ladder
+    read as Z_N, row i -> (N - i) mod N.  Rung -N/2 is its own image."""
+    return (size - np.arange(size)) % size
+
+
+def parity_average(X):
+    """(X + R X R) / 2 for the reflection R of `reflection`: a
+    parity-even matrix, which a density matrix X keeps positive."""
+    r = reflection(X.shape[0])
+    return 0.5 * (X + X[r][:, r])
+
+
+def non_densities(rho):
+    """(matrix, message) pairs that the density check must refuse, made
+    from a diagonal density rho: an imaginary part off and on the
+    diagonal, and a weight of -1e-10 on the diagonal and, through the
+    eigendecomposition, in a dense Hermitian rho."""
+    skewed, imaginary, negative = rho.copy(), rho.copy(), rho.copy()
+    skewed[0, 1] = 1e-9j
+    imaginary[0, 0] = 1e-9j
+    negative[0, 0] = -1e-10
+    n = rho.shape[0]
+    rng = np.random.default_rng(6)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)))
+    w = np.real(np.diag(rho)).copy()
+    w[0] = -1e-10
+    dense = (Q * w) @ Q.conj().T
+    dense = 0.5 * (dense + dense.conj().T)
+    skew, psd = "rho must be Hermitian", "rho must be positive semidefinite"
+    return [(skewed, skew), (imaginary, skew), (negative, psd), (dense, psd)]
 
 
 def anti_zeno_map(rho):

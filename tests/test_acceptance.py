@@ -25,7 +25,7 @@ from dkrotor.quantum import MomentumBasis, build_period_operator, \
 from dkrotor.wigner import calibrate_packet_width, strangeness, \
     two_packet_mixture, two_packet_superposition, wigner_transform
 from helpers import circular_distance, classical_cycle_oracle, \
-    model_outside, strangeness_sweep
+    model_outside, reflection, strangeness_sweep
 
 SEED = 2026
 BASIS = MomentumBasis()
@@ -208,7 +208,7 @@ def test_criterion_07_floquet_oracle(quantum_ops):
     # same average removes from the brute force: the oracle compares
     # S (mean of |U^t|^2) S with the formula, with no finite-horizon term
     N = BASIS.size
-    r = (N - np.arange(N)) % N
+    r = reflection(N)
     clauses = []
     for K in (180.0, 280.0):
         op = quantum_ops[K]

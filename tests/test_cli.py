@@ -17,7 +17,7 @@ import dkrotor
 from dkrotor import cli
 from dkrotor.cli import (ExperimentSpec, SpecError, load_spec, load_sweep,
                          main, run, sweep, validate)
-from helpers import spec_to_config
+from helpers import reflection, spec_to_config
 
 
 def _write_config(tmp_path, body, name="exp.ini"):
@@ -309,7 +309,7 @@ def test_run_floquet_outputs(tmp_path):
     # file holds it to 17 digits, so the two agree to roundoff
     M = np.loadtxt(out / "asymptotic_matrix.csv", delimiter=",",
                    skiprows=1)[:, 1:]
-    r = (128 - np.arange(128)) % 128
+    r = reflection(128)
     np.testing.assert_allclose(M[r][:, r], M, rtol=0, atol=1e-15)
     diag = json.loads((out / "floquet_diagnostics.json").read_text())
     assert diag["unitarity_defect"] < 1e-10

@@ -8,13 +8,13 @@ from dkrotor.decoherence import (Q_GRID, EmissionModel, MCResult,
                                  OperatorCache, _angle_basis, _angle_map,
                                  _conjugated, _emission_map_into,
                                  _from_parity_blocks, _ladder_split,
-                                 _parity_blocks, mc_wavefunction_run,
-                                 run_decohered)
+                                 _parity_blocks, _parity_even,
+                                 mc_wavefunction_run, run_decohered)
 from dkrotor.pulses import KickConfig
-from dkrotor.quantum import (MomentumBasis, _reflection,
-                             build_period_operator, evolve_density,
-                             initial_density)
-from helpers import anti_zeno_map, mc_reference
+from dkrotor.quantum import (MomentumBasis, build_period_operator,
+                             evolve_density, initial_density)
+from helpers import (anti_zeno_map, mc_reference, non_densities,
+                     parity_average, reflection)
 
 BASIS = MomentumBasis()
 
@@ -196,9 +196,7 @@ def test_angle_block_map_matches_emission_map(n, eta):
     # errors on without growth, and the fold, the weights and the unfold
     # add a few eps: (2 N + 12) eps in all, 3.1e-14 at N = 128.
     atol = (2 * n + 12) * np.finfo(float).eps
-    r = _reflection(n)
-    rho = _random_density(n, n)
-    rho = 0.5 * (rho + rho[r][:, r])
+    rho = parity_average(_random_density(n, n))
     C, dC = _angle_basis(n)
     blocks = [_conjugated(c, dc, X)
               for c, dc, X in zip(C, dC, _parity_blocks(rho))]
@@ -234,7 +232,7 @@ def test_parity_block_kick_matches_full_product(n, hbar, edge):
     cfg = KickConfig(K=280.0, hbar=hbar)
     basis = MomentumBasis(size=n, hbar=hbar)
     op = build_period_operator(cfg, basis)
-    r = _reflection(n)
+    r = reflection(n)
     D = 0.5 * (op.U - op.U[r][:, r])
     wall = np.abs(D).max(axis=0) > 1e-12
     assert np.abs(basis.indices[wall]).min() == edge
@@ -259,20 +257,48 @@ def _displaced_density(basis):
 
 
 @pytest.mark.parametrize("q, start", [(0.25, "gaussian"), (0.0, "displaced")])
-def test_run_decohered_emission_on_the_whole_ladder(q, start):
-    # off q = 0, or from a start that is not parity-even, the kick is the
-    # full product U rho U+, as in the plain loop
+def test_run_decohered_emission_refuses_other_runs(q, start):
+    # the one emission route needs q = 0 and a parity-even start; the
+    # Gaussian at q = 0.25 is even, so the q test alone refuses it
     cfg = KickConfig(K=280.0)
     basis = MomentumBasis(q=q)
     op = build_period_operator(cfg, basis)
     rho = (initial_density(cfg, basis) if start == "gaussian"
            else _displaced_density(basis))
-    res = run_decohered(rho, op, EmissionModel(eta=0.05), 70)
-    for t in range(1, 71):
-        rho = _emission_map_into(op.U @ rho @ op.U.conj().T, 0.05)
-        np.testing.assert_allclose(res.distributions[t],
-                                   np.real(np.diag(rho)), atol=1e-13)
-    np.testing.assert_allclose(res.final_density, rho, atol=1e-13)
+    with pytest.raises(ValueError, match="q = 0" if q else "parity-even"):
+        run_decohered(rho, op, EmissionModel(eta=0.05), 70)
+
+
+@pytest.mark.parametrize("n", [2, 4, 128])
+def test_parity_test_refuses_each_uneven_element(n):
+    # a random even rho, built with the index reflection, changed in one
+    # element: of row 0 or column 0 (rung -N/2), of the row or column of
+    # rung 0, or of a +-n pair block.  Changes on the elements between
+    # rungs 0 and -N/2, their own images, keep it even.  At N = 2 those
+    # are all the elements: R is the identity
+    h = n // 2
+    rho = parity_average(_random_density(n, n))
+    assert _parity_even(rho)
+    fixed = [(0, 0), (h, h), (0, h), (h, 0)]
+    j, k = h - 1, h + 1  # rungs -1 and +1
+    uneven = ([(0, j), (j, 0), (h, j), (j, h), (k, k), (k, j), (j, k)]
+              if n > 2 else [])
+    for cell in fixed + uneven:
+        changed = rho.copy()
+        changed[cell] += 1e-9
+        assert _parity_even(changed) == (cell in fixed), cell
+
+
+@pytest.mark.parametrize("model", [None, EmissionModel(eta=0.05), "anti-zeno"],
+                         ids=["coherent", "emission", "anti-zeno"])
+def test_run_decohered_refuses_non_density_matrices(model):
+    # the densities test_quantum refuses, through every channel: each
+    # checks rho0 before it checks q or parity
+    cfg = KickConfig(K=280.0)
+    op = build_period_operator(cfg, BASIS)
+    for bad, match in non_densities(initial_density(cfg, BASIS)):
+        with pytest.raises(ValueError, match=match):
+            run_decohered(bad, op, model, 3)
 
 
 def test_anti_zeno_fast_path_matches_projective_loop():

@@ -9,7 +9,7 @@ from dkrotor.floquet import asymptotic_matrix, decompose
 from dkrotor.pulses import TWO_PI, KickConfig
 from dkrotor.quantum import CAYLEY_SHIFTS, MomentumBasis, build_period_operator
 
-from helpers import period_operator_of, schur_decomposition
+from helpers import period_operator_of, reflection, schur_decomposition
 
 BASIS = MomentumBasis()
 
@@ -35,7 +35,7 @@ def test_zero_coupling_spectrum():
     # s^2 on -n, which the parity average spreads to 1/2 on both, so the
     # matrix is (I + R) / 2 exactly, up to the roundoff of c^2 + s^2
     N = BASIS.size
-    R = np.eye(N)[(N - np.arange(N)) % N]
+    R = np.eye(N)[reflection(N)]
     np.testing.assert_allclose(asymptotic_matrix(dec), 0.5 * (np.eye(N) + R),
                                rtol=0, atol=1e-14)
 
@@ -83,6 +83,17 @@ def test_asymptotic_matrix_doubly_stochastic_and_symmetric():
     np.testing.assert_allclose(M.sum(axis=0), 1.0, atol=1e-8)
     np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-8)
     np.testing.assert_allclose(M, M.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 128])
+def test_asymptotic_matrix_is_the_index_form_average(n):
+    # the ladder slices average rows n and -n in place, and rungs 0 and
+    # -N/2 not at all: bit for bit the average over the index reflection
+    dec = decompose(build_period_operator(KickConfig(K=280.0),
+                                          MomentumBasis(size=n)))
+    P = np.abs(dec.vectors)**2
+    P = 0.5 * (P + P[reflection(n)])
+    assert np.array_equal(asymptotic_matrix(dec), P @ P.T)
 
 
 def test_asymptotic_matrix_invariant_under_doublet_rotation():

@@ -12,7 +12,8 @@ from dkrotor.quantum import (MomentumBasis, _time_reversal_frame,
                              build_period_operator, density_after,
                              edge_population, evolve_density, initial_density,
                              unitarity_defect)
-from helpers import narrow_packet, split_operator_period
+from helpers import (narrow_packet, non_densities, reflection,
+                     split_operator_period)
 
 BASIS = MomentumBasis()
 
@@ -154,7 +155,7 @@ def test_parity_symmetry_on_interior_block():
     # at q = 0 the drive is even in n, but the ladder edge breaks the
     # pairing (n = -64 has no +64 partner), so the symmetry only holds
     # away from the edge
-    perm = (128 - np.arange(128)) % 128
+    perm = reflection(128)
     inner = np.where(np.abs(np.arange(128) - 64) <= 40)[0]
     for K in (70.0, 280.0):
         U = build_period_operator(KickConfig(K=K), BASIS).U
@@ -311,31 +312,13 @@ def test_evolve_density_rejects_non_density_matrix():
     cfg = KickConfig(K=280.0)
     op = build_period_operator(cfg, BASIS)
     rho = initial_density(cfg, BASIS)
-    skewed = rho.copy()
-    skewed[0, 1] = 1e-9j
-    with pytest.raises(ValueError, match="rho must be Hermitian"):
-        evolve_density(skewed, op, 3)
-    # a complex diagonal, through the diagonal factor
-    skewed = rho.copy()
-    skewed[0, 0] = 1e-9j
-    with pytest.raises(ValueError, match="rho must be Hermitian"):
-        evolve_density(skewed, op, 3)
-    negative = rho.copy()
-    negative[0, 0] = -1e-10
-    with pytest.raises(ValueError, match="rho must be positive semidefinite"):
-        evolve_density(negative, op, 3)
-    # a dense Hermitian rho with one eigenvalue -1e-10, through the
-    # eigendecomposition
-    rng = np.random.default_rng(6)
-    Q, _ = np.linalg.qr(rng.normal(size=(128, 128))
-                        + 1j * rng.normal(size=(128, 128)))
-    w = np.real(np.diag(rho)).copy()
-    w[0] = -1e-10
-    dense = (Q * w) @ Q.conj().T
-    dense = 0.5 * (dense + dense.conj().T)
-    with pytest.raises(ValueError, match="rho must be positive semidefinite"):
-        evolve_density(dense, op, 3)
-    with pytest.raises(ValueError, match="rho must be positive semidefinite"):
+    bad = non_densities(rho)
+    for X, match in bad:
+        with pytest.raises(ValueError, match=match):
+            evolve_density(X, op, 3)
+    # the dense one, through the eigendecomposition
+    dense, match = bad[-1]
+    with pytest.raises(ValueError, match=match):
         density_after(dense, op, 3)
     # roundoff-sized defects are accepted
     noisy = rho.copy()

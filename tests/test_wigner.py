@@ -12,7 +12,7 @@ from dkrotor.wigner import (TARGET_S_MIXED, TARGET_S_SUPERPOSED,
                             WidthCalibration, calibrate_packet_width,
                             gaussian_packet, strangeness, two_packet_mixture,
                             two_packet_superposition, wigner_transform)
-from helpers import strangeness_sweep, wigner_direct
+from helpers import reflection, strangeness_sweep, wigner_direct
 
 BASIS = MomentumBasis()
 N = 128
@@ -149,7 +149,7 @@ def test_reflection_invariance():
     # cell sums straddle the reflection point, so only aggregate
     # observables are compared
     rho = _fringed_state()
-    perm = (N - np.arange(N)) % N
+    perm = reflection(N)
     rho_r = rho[np.ix_(perm, perm)]
     g, gr = wigner_transform(rho, BASIS), wigner_transform(rho_r, BASIS)
     assert strangeness(gr) == pytest.approx(strangeness(g), abs=1e-12)
