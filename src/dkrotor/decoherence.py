@@ -11,8 +11,9 @@ Two realizations are provided:
   the map is one elementwise weighting.  It commutes with the
   reflection n -> -n, so at q = 0 a parity-even state stays even, and
   run_decohered keeps the whole run in the parity blocks of the angle
-  basis; it refuses any other q or start, and drops only the hard
-  wall's parity breaking at the ladder's edge, where rho has no weight;
+  basis, which the DCT-I and DST-I reach; it refuses any other q or
+  start, and drops only the hard wall's parity breaking at the ladder's
+  edge, where rho has no weight;
 
 * a Monte Carlo wavefunction model (Dalibard, Castin & Molmer, PRL 68,
   580, 1992) where each trajectory suffers an emission with
@@ -41,8 +42,8 @@ import numpy as np
 from .pulses import KickConfig, barrier
 from .quantum import (EvolutionResult, MomentumBasis, PeriodOperator,
                       _check_density, _evolution_result, _is_diagonal,
-                      _mirror_slices, _real_matmul, build_period_operator,
-                      evolve_density, initial_density)
+                      _mirror_slices, build_period_operator, evolve_density,
+                      initial_density)
 
 ANTI_ZENO = "anti-zeno"
 DEFAULT_REALIZATIONS = 2000
@@ -116,15 +117,17 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
     Emission runs raise ValueError unless q = 0 and rho0 is parity-even,
     R rho0 R = rho0 for R: n -> -n (initial_density is).  Such a run goes
     once into the angle basis |theta_a> = N^-1/2 sum_n exp(2 pi i a n / N)
-    |n>, in its even and odd blocks (_angle_basis), and comes back once
-    at the end.  There the recoil |n> -> |n +- 1> is diag(exp(-+i
-    theta_a)), so the map weighs rho_ab by 1 - eta + eta cos(theta_a -
-    theta_b): the cosines weigh each block, and the sines couple the
-    even block's paired rows with the odd block (_angle_map).  Each kick
-    conjugates the blocks by those of the parity average
+    |n>, in its even and odd blocks, by a DCT-I and a DST-I (_across),
+    and comes back once at the end.  There the recoil |n> -> |n +- 1> is
+    diag(exp(-+i theta_a)), so the map weighs rho_ab by 1 - eta + eta
+    cos(theta_a - theta_b): the cosines weigh each block, and the sines
+    couple the even block's paired rows with the odd block (_angle_map).
+    Each kick conjugates the blocks by those of the parity average
     Ubar = (U + RUR)/2, four products of half size, a quarter of the
     flops of U rho U+, and reads the distribution off one real product
-    of half size per block.  Since the map commutes with R, rho stays
+    of half size per block.  Ubar is folded and crossed in long double
+    and rounded once; rho crosses in double, as its rounding enters once
+    and not once a kick.  Since the map commutes with R, rho stays
     even.  With D = (U - RUR)/2, the even part of U rho U+ is
     Ubar rho Ubar+ + D rho D+, so each kick drops D rho D+ and the odd
     part Ubar rho D+ + D rho Ubar+.  Both are roundoff: D is the hard
@@ -141,7 +144,7 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
                          "the density-matrix map is inherently discretized")
     if not (isinstance(model, EmissionModel) or model == ANTI_ZENO):
         raise ValueError(f"unknown decoherence model: {model!r}")
-    _check_density(rho0)
+    _check_density(rho0, op.basis.size)
 
     U = op.U
     dists = np.empty((kicks + 1, op.basis.size))
@@ -168,15 +171,18 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
 
     size = op.basis.size
     h, ends, pos, neg = _mirror_slices(size)
-    C, dC = _angle_basis(size)
-
-    def across(blocks):
-        """Parity blocks taken between the ladder and the angle basis,
-        either way, since Q is its own inverse."""
-        return [_conjugated(c, dc, X) for c, dc, X in zip(C, dC, blocks)]
-
+    from scipy.fft import dct, dst
+    # Q_E and Q_O of _across as real matrices, padded as the blocks, for
+    # the distribution
+    C = [np.zeros((_padded(m),) * 2) for m in (h + 1, h - 1)]
+    for c, transform, m in zip(C, (dct, dst), (h + 1, h - 1)):
+        if m:
+            c[:m, :m] = transform(np.eye(m), type=1, norm="ortho")
     emission = _angle_map(size, model.eta)
-    blocks, kick = across(_parity_blocks(rho0)), across(_parity_blocks(U))
+    blocks = _across(_parity_blocks(rho0), size)
+    # U crosses in long double and is rounded once (see _across)
+    kick = [A.astype(complex) for A in
+            _across(_parity_blocks(U.astype(np.clongdouble)), size)]
     kick_dag = [np.ascontiguousarray(A.conj().T) for A in kick]
     half = [np.empty_like(X) for X in blocks]
     real, turned = ([np.empty(c.shape) for c in C] for _ in range(2))
@@ -191,10 +197,10 @@ def run_decohered(rho0: np.ndarray, op: PeriodOperator, model,
             np.copyto(R, X.real)
             np.dot(c, R, out=CR)
             d.append(np.einsum("ij,ij->i", CR, c))
-        dists[t, ends] = d[0][:2]
-        dists[t, pos] = dists[t, neg] = 0.5 * (d[0][2:h + 1] + d[1][:h - 1])
+        dists[t, ends] = d[0][:h + 1:h]
+        dists[t, pos] = dists[t, neg] = 0.5 * (d[0][1:h] + d[1][:h - 1])
     return _evolution_result(dists, op,
-                             _from_parity_blocks(across(blocks), size))
+                             _from_parity_blocks(_across(blocks, size), size))
 
 
 def _padded(rows: int) -> int:
@@ -205,18 +211,22 @@ def _padded(rows: int) -> int:
 def _parity_blocks(X: np.ndarray) -> tuple:
     """(E, O), the even and odd diagonal blocks of X in the parity basis.
 
-    E is on |0>, |-N/2> and (|n> + |-n>)/sqrt2, O on (|n> - |-n>)/sqrt2,
-    n = 1 .. N/2 - 1, in that order; each is zero-padded to _padded rows
-    and columns.  The blocks between E and O are not formed.
+    E is on |0>, (|n> + |-n>)/sqrt2 for n = 1 .. N/2 - 1, and |-N/2>, O on
+    (|n> - |-n>)/sqrt2, n = 1 .. N/2 - 1: row n of E and row n - 1 of O
+    hold rung n, as DCT-I and DST-I index their points.  Each is
+    zero-padded to _padded rows and columns.  The blocks between E and O
+    are not formed.
     """
     h, ends, pos, neg = _mirror_slices(X.shape[0])
+    # rows 0 and N/2 of E, rungs 0 and -N/2 in the order of ends
+    tips = slice(0, h + 1, h)
     E = np.zeros((_padded(h + 1),) * 2, dtype=X.dtype)
     O = np.zeros((_padded(h - 1),) * 2, dtype=X.dtype)
-    E[:2, :2] = X[ends, ends]
-    E[:2, 2:h + 1] = np.sqrt(0.5) * (X[ends, pos] + X[ends, neg])
-    E[2:h + 1, :2] = np.sqrt(0.5) * (X[pos, ends] + X[neg, ends])
+    E[tips, tips] = X[ends, ends]
+    E[tips, 1:h] = np.sqrt(0.5) * (X[ends, pos] + X[ends, neg])
+    E[1:h, tips] = np.sqrt(0.5) * (X[pos, ends] + X[neg, ends])
     same, mixed = X[pos, pos] + X[neg, neg], X[pos, neg] + X[neg, pos]
-    E[2:h + 1, 2:h + 1] = 0.5 * (same + mixed)
+    E[1:h, 1:h] = 0.5 * (same + mixed)
     O[:h - 1, :h - 1] = 0.5 * (same - mixed)
     return E, O
 
@@ -226,49 +236,43 @@ def _from_parity_blocks(blocks: tuple, size: int) -> np.ndarray:
     inverse of _parity_blocks on matrices that commute with parity."""
     E, O = blocks
     h, ends, pos, neg = _mirror_slices(size)
+    tips = slice(0, h + 1, h)
     X = np.empty((size, size), dtype=E.dtype)
-    X[ends, ends] = E[:2, :2]
-    X[ends, pos] = X[ends, neg] = np.sqrt(0.5) * E[:2, 2:h + 1]
-    X[pos, ends] = X[neg, ends] = np.sqrt(0.5) * E[2:h + 1, :2]
-    even, odd = E[2:h + 1, 2:h + 1], O[:h - 1, :h - 1]
+    X[ends, ends] = E[tips, tips]
+    X[ends, pos] = X[ends, neg] = np.sqrt(0.5) * E[tips, 1:h]
+    X[pos, ends] = X[neg, ends] = np.sqrt(0.5) * E[1:h, tips]
+    even, odd = E[1:h, 1:h], O[:h - 1, :h - 1]
     X[pos, pos] = X[neg, neg] = 0.5 * (even + odd)
     X[pos, neg] = X[neg, pos] = 0.5 * (even - odd)
     return X
 
 
-def _angle_basis(size: int) -> tuple:
-    """((C_E, C_O), (dC_E, dC_O)): the angle basis |theta_a> = N^-1/2
-    sum_n exp(2 pi i a n / N) |n> on the rows of _parity_blocks.
+def _across(blocks: tuple, size: int) -> tuple:
+    """The parity blocks (E, O) taken between the ladder and the angle
+    basis, either way, in place: Q X Q on each unpadded corner.
 
-    The DFT takes n -> -n to a -> -a, so the even block's states,
-    |theta_0>, |theta_N/2> and (|theta_a> + |theta_-a>)/sqrt2 for
-    a = 1 .. N/2 - 1, are real cosines, and the odd block's,
-    (|theta_a> - |theta_-a>)/sqrt2, are i times real sines (the i
-    cancels in a block).  Q_E and Q_O, one state a column, are real,
-    symmetric and orthogonal, so a block X goes across as Q X Q, either
-    way.  They are computed in np.longdouble and rounded to C; dC = C - Q
-    is the rounding (zero where longdouble is double), which _conjugated
-    takes out.  All are zero-padded as the blocks are.
+    The angle basis |theta_a> = N^-1/2 sum_n exp(2 pi i a n / N) |n>
+    takes n -> -n to a -> -a.  So the even block's states, |theta_0>,
+    (|theta_a> + |theta_-a>)/sqrt2 for a = 1 .. N/2 - 1 and |theta_N/2>,
+    are real cosines, and the odd block's, (|theta_a> - |theta_-a>)/sqrt2,
+    are i times real sines (the i cancels in a block).  On the rows of
+    _parity_blocks, Q_E is the orthonormal DCT-I on N/2 + 1 points and Q_O
+    the DST-I on N/2 - 1, the even and odd halves of the DFT (Martucci,
+    IEEE Trans. Signal Process. 42, 1038 (1994)): real, symmetric and
+    orthogonal, so Q X Q is one transform along each axis.  scipy.fft
+    computes them in X's precision.  A kick block must be crossed in long
+    double: rounded to double, Q would act as the same small non-unitary
+    factor every kick, which adds up over the kicks.
     """
+    # imported here, as quantum imports scipy.linalg: only emission runs
+    # need scipy.fft
+    from scipy.fft import dctn, dstn
     h = size // 2
-    even, odd = np.r_[0, h, 1:h], np.arange(1, h)
-    # cos and sin of 2 pi j / N, indexed by j = a n mod N
-    angle = 2 * np.arccos(np.longdouble(-1)) / size * np.arange(size)
-    # norms 1 / sqrt N on |0> and |-N/2>, sqrt(2 / N) on the pairs
-    g2 = np.r_[1, 1, np.full(h - 1, 2)]
-    exact = (np.sqrt(np.outer(g2, g2) / np.longdouble(size))
-             * np.cos(angle)[np.outer(even, even) % size],
-             2 / np.sqrt(np.longdouble(size))
-             * np.sin(angle)[np.outer(odd, odd) % size])
-    C, dC = [], []
-    for Q in exact:
-        m = Q.shape[0]
-        c, dc = (np.zeros((_padded(m),) * 2) for _ in range(2))
-        c[:m, :m] = Q
-        dc[:m, :m] = c[:m, :m] - Q
-        C.append(c)
-        dC.append(dc)
-    return C, dC
+    for X, transform, m in zip(blocks, (dctn, dstn), (h + 1, h - 1)):
+        # DST-I refuses zero points: N = 2 has no odd block
+        if m:
+            X[:m, :m] = transform(X[:m, :m], type=1, norm="ortho")
+    return blocks
 
 
 def _angle_map(size: int, eta: float):
@@ -279,40 +283,27 @@ def _angle_map(size: int, eta: float):
     basis, so the map weighs rho_ab by 1 - eta + eta cos(theta_a -
     theta_b), where cos(theta_a - theta_b) = cos theta_a cos theta_b
     + sin theta_a sin theta_b.  The cosines keep parity: each block is
-    weighed by W = 1 - eta + eta c c^T, c = [1, -1, cos theta_a] on E
-    and cos theta_a on O.  The sines swap it: S = eta s s^T,
-    s = sin theta_a, carries O into E's paired rows and those into O.
+    weighed by W = 1 - eta + eta c c^T, c = cos theta_a with
+    theta_a = 2 pi a / N for a = 0 .. N/2 on E and a = 1 .. N/2 - 1 on
+    O.  The sines swap it: S = eta s s^T, s = sin theta_a, carries O into
+    E's paired rows 1 .. N/2 - 1 and those into O.
     """
     h = size // 2
-    theta = 2.0 * np.pi / size * np.arange(1, h)
+    cos = np.cos(2.0 * np.pi / size * np.arange(h + 1))
+    sin = np.sin(2.0 * np.pi / size * np.arange(1, h))
     W_E, W_O = (np.zeros((_padded(m),) * 2) for m in (h + 1, h - 1))
-    for W, c in ((W_E, np.r_[1.0, -1.0, np.cos(theta)]),
-                 (W_O, np.cos(theta))):
+    for W, c in ((W_E, cos), (W_O, cos[1:h])):
         W[:c.size, :c.size] = 1.0 - eta + eta * np.outer(c, c)
-    S = eta * np.outer(np.sin(theta), np.sin(theta))
+    S = eta * np.outer(sin, sin)
 
     def apply(E, O):
-        paired, odd = E[2:h + 1, 2:h + 1], O[:h - 1, :h - 1]
+        paired, odd = E[1:h, 1:h], O[:h - 1, :h - 1]
         to_even, to_odd = S * odd, S * paired
         E *= W_E
         O *= W_O
         paired += to_even
         odd += to_odd
     return apply
-
-
-def _conjugated(C: np.ndarray, dC: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Q X Q for the real symmetric Q = C - dC of _angle_basis, in C order.
-
-    C X C, as (C (C X)^T)^T, less dC X C + C X dC, summed apart so that
-    dC is not lost to rounding; dC^2 is smaller by a factor eps.  The
-    kick needs this: built from C alone, every kick would apply the same
-    symmetric C^2 - I of C's rounding, a non-unitarity that adds up over
-    the kicks (it moved the N = 128 outside fraction by 2-3e-15 in 70).
-    """
-    CX = _real_matmul(C, X)
-    slack = _real_matmul(C, _real_matmul(dC, X).T) + _real_matmul(dC, CX.T)
-    return np.ascontiguousarray((_real_matmul(C, CX.T) - slack).T)
 
 
 class OperatorCache:

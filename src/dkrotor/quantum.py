@@ -265,10 +265,13 @@ def _is_diagonal(rho: np.ndarray) -> bool:
     return np.count_nonzero(rho) == np.count_nonzero(np.diagonal(rho))
 
 
-def _check_density(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian and positive semidefinite
-    to DENSITY_TOL.  A diagonal rho is judged by its diagonal alone, with
-    no eigensolve."""
+def _check_density(rho: np.ndarray, size: int) -> None:
+    """Raise ValueError unless rho is a size x size matrix, Hermitian and
+    positive semidefinite to DENSITY_TOL.  A diagonal rho is judged by its
+    diagonal alone, with no eigensolve."""
+    if np.shape(rho) != (size, size):
+        raise ValueError(f"rho must be a {size} x {size} matrix on the "
+                         f"N = {size} ladder, got shape {np.shape(rho)}")
     d = np.diagonal(rho)
     diagonal = _is_diagonal(rho)
     # off the diagonal a diagonal rho is exactly Hermitian
@@ -288,7 +291,7 @@ def _into_frame(rho: np.ndarray, op: PeriodOperator) -> np.ndarray:
     of op, after _check_density.  A diagonal rho commutes with s, so its
     G is the real O^T diag(rho) O.
     """
-    _check_density(rho)
+    _check_density(rho, op.basis.size)
     s, O, _, _ = op.floquet_basis
     if _is_diagonal(rho):
         return ((O.T * np.diagonal(rho).real) @ O).astype(complex)
@@ -317,9 +320,9 @@ def evolve_density(rho: np.ndarray, op: PeriodOperator,
     """
     if kicks < 1:
         raise ValueError(f"kicks must be >= 1, got {kicks}")
+    G = _into_frame(rho, op)
     dists = np.empty((kicks + 1, op.basis.size))
     dists[0] = np.real(np.diag(rho))
-    G = _into_frame(rho, op)
     _, O, lam, _ = op.floquet_basis
     turn = lam[:, None] * lam.conj()
     R = np.empty(O.shape)

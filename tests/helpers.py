@@ -261,8 +261,9 @@ def parity_average(X):
 def non_densities(rho):
     """(matrix, message) pairs that the density check must refuse, made
     from a diagonal density rho: an imaginary part off and on the
-    diagonal, and a weight of -1e-10 on the diagonal and, through the
-    eigendecomposition, in a dense Hermitian rho."""
+    diagonal, a weight of -1e-10 on the diagonal and, through the
+    eigendecomposition, in a dense Hermitian rho, and the wrong shapes
+    of half the ladder and of the diagonal alone."""
     skewed, imaginary, negative = rho.copy(), rho.copy(), rho.copy()
     skewed[0, 1] = 1e-9j
     imaginary[0, 0] = 1e-9j
@@ -276,7 +277,12 @@ def non_densities(rho):
     dense = (Q * w) @ Q.conj().T
     dense = 0.5 * (dense + dense.conj().T)
     skew, psd = "rho must be Hermitian", "rho must be positive semidefinite"
-    return [(skewed, skew), (imaginary, skew), (negative, psd), (dense, psd)]
+    h = n // 2
+    shape = (rf"rho must be a {n} x {n} matrix on the N = {n} ladder, "
+             rf"got shape \({h}, {h}\)")
+    flat = rf"rho must be a {n} x {n} matrix .* got shape \({n},\)"
+    return [(skewed, skew), (imaginary, skew), (negative, psd), (dense, psd),
+            (rho[:h, :h], shape), (np.diagonal(rho).copy(), flat)]
 
 
 def anti_zeno_map(rho):

@@ -477,6 +477,12 @@ def test_cli_import_leaves_out_scipy_linalg():
     assert not _loaded_by_cli_import("scipy.linalg")
 
 
+def test_cli_import_leaves_out_scipy_fft():
+    # only the emission kick's angle transforms need scipy.fft; a
+    # classical or coherent run must not pay for importing it
+    assert not _loaded_by_cli_import("scipy.fft")
+
+
 def test_run_wigner_outputs(tmp_path):
     out = tmp_path / "wg"
     spec = ExperimentSpec(mode="wigner", K=80.0, kicks=4, basis_size=128,

@@ -1,16 +1,17 @@
 """Spontaneous-emission and anti-Zeno decoherence models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dkrotor import decoherence
 from dkrotor.decoherence import (Q_GRID, EmissionModel, MCResult,
-                                 OperatorCache, _angle_basis, _angle_map,
-                                 _conjugated, _emission_map_into,
-                                 _from_parity_blocks, _ladder_split,
-                                 _parity_blocks, _parity_even,
+                                 OperatorCache, _across, _angle_map,
+                                 _emission_map_into, _from_parity_blocks,
+                                 _ladder_split, _parity_blocks, _parity_even,
                                  mc_wavefunction_run, run_decohered)
-from dkrotor.pulses import KickConfig
+from dkrotor.pulses import KickConfig, barrier
 from dkrotor.quantum import (MomentumBasis, build_period_operator,
                              evolve_density, initial_density)
 from helpers import (anti_zeno_map, mc_reference, non_densities,
@@ -119,12 +120,44 @@ def test_run_decohered_emission_matches_manual_loop():
     assert np.trace(res.final_density).real == pytest.approx(1.0, abs=1e-10)
 
 
+def _parity_emission_operator(n, seed):
+    """A period operator on n rungs whose U is a random unitary that
+    commutes with the reflection R, exp(-i H) for a parity-even Hermitian
+    H, so that its parity average is U itself to roundoff."""
+    w, V = np.linalg.eigh(n * parity_average(_random_density(n, seed)))
+    U = (V * np.exp(-1j * w)) @ V.conj().T
+    op = build_period_operator(KickConfig(K=280.0), MomentumBasis(size=n))
+    return dataclasses.replace(op, U=U)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_run_decohered_emission_matches_plain_loop_on_short_ladders(n):
+    # At N = 2 the odd block is empty and at N = 4 it has one row, the
+    # sizes where the DST-I needs care.  On so short a ladder the hard
+    # wall at -N/2 breaks the parity of the kicked rotor's U everywhere,
+    # so U is a random parity-even unitary instead, and the plain loop
+    # U rho U+ followed by the map is the block kick's exact reference.
+    # rho is a dense parity-even density, which the map's sines reach.
+    # Each kick rounds an entry by a few eps of the unit-norm blocks,
+    # and unitary kicks carry earlier errors on without growth: 5 kicks
+    # stay far below 1e-14.
+    op = _parity_emission_operator(n, n)
+    rho = parity_average(_random_density(n, 10 + n))
+    res = run_decohered(rho, op, EmissionModel(eta=0.05), 5)
+    for t in range(1, 6):
+        rho = _emission_map_into(op.U @ rho @ op.U.conj().T, 0.05)
+        np.testing.assert_allclose(res.distributions[t],
+                                   np.real(np.diag(rho)), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(res.final_density, rho, rtol=0, atol=1e-14)
+
+
 def _parity_basis(n):
-    """Columns |0>, |-N/2>, (|k> + |-k>)/sqrt2, then (|k> - |-k>)/sqrt2,
-    k = 1 .. N/2 - 1, on ladder rows i = k + N/2, from the definition."""
+    """Columns |0>, (|k> + |-k>)/sqrt2 for k = 1 .. N/2 - 1 and |-N/2>,
+    then (|k> - |-k>)/sqrt2, on ladder rows i = k + N/2, from the
+    definition."""
     h, e = n // 2, np.eye(n)
-    even = [e[h], e[0]] + [(e[h + k] + e[h - k]) / np.sqrt(2)
-                           for k in range(1, h)]
+    even = ([e[h]] + [(e[h + k] + e[h - k]) / np.sqrt(2)
+                      for k in range(1, h)] + [e[0]])
     odd = [(e[h + k] - e[h - k]) / np.sqrt(2) for k in range(1, h)]
     return np.array(even).T, np.array(odd).reshape(-1, n).T
 
@@ -147,41 +180,102 @@ def test_parity_blocks_match_the_parity_basis(n):
                                atol=1e-15)
 
 
+def _angle_states(n):
+    """|theta_a> = N^-1/2 sum_n exp(2 pi i a n / N) |n> as columns, with
+    a and n both on ladder rows i = k + N/2, from the definition."""
+    k = np.arange(n) - n // 2
+    return np.exp(2j * np.pi * (np.outer(k, k) % n) / n) / np.sqrt(n)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 128])
 def test_angle_basis_is_orthogonal_and_diagonalizes_the_shift(n):
+    # the DFT takes n -> -n to a -> -a, so the parity blocks of
+    # Theta+ X Theta, folded over a and -a as the ladder is over n and
+    # -n, are the parity blocks of X taken across.  The odd block's
+    # states are i times real sines, and the i cancels in a block.
     h = n // 2
-    (C_E, C_O), (dC_E, dC_O) = _angle_basis(n)
-    # zero-padded to a multiple of 8 rows and columns, like the blocks
-    assert C_E.shape[0] % 8 == 0 and C_O.shape[0] % 8 == 0
-    for C, dC, m in ((C_E, dC_E, h + 1), (C_O, dC_O, h - 1)):
-        np.testing.assert_allclose(C[:m, :m].T @ C[:m, :m], np.eye(m),
-                                   atol=1e-15)
-        assert not C[m:].any() and not C[:, m:].any()
-        assert not dC[m:].any() and not dC[:, m:].any()
-        # dC is C's rounding, at most half an ulp, and C - dC is
-        # orthogonal to the precision of np.longdouble
-        assert np.all(np.abs(dC) <= 0.5 * np.spacing(np.abs(C)))
-        Q = C[:m, :m].astype(np.longdouble) - dC[:m, :m]
-        ext = np.finfo(np.longdouble).eps
-        np.testing.assert_allclose(Q.T @ Q, np.eye(m), atol=4 * m * ext)
-    # |theta_a> = (cosine + i sine)/sqrt2 from the blocks' columns, and
-    # |theta_-a> = (cosine - i sine)/sqrt2, against the definition
-    # N^-1/2 sum_n exp(2 pi i a n / N) |n>, with a n reduced mod N
-    Se, So = _parity_basis(n)
-    cos, sin = Se @ C_E[:h + 1, :h + 1], So @ C_O[:h - 1, :h - 1]
-    theta = np.empty((n, n), dtype=complex)
-    theta[:, 0], theta[:, h] = cos[:, 0], cos[:, 1]
-    theta[:, 1:h] = (cos[:, 2:] + 1j * sin) / np.sqrt(2)
-    theta[:, :h:-1] = (cos[:, 2:] - 1j * sin) / np.sqrt(2)
-    a = np.arange(n)
-    phase = np.outer(np.arange(n) - h, a) % n
-    np.testing.assert_allclose(theta, np.exp(2j * np.pi * phase / n)
+    theta = _angle_states(n)
+    X = parity_average(_random_density(n, n))
+    blocks = _across(_parity_blocks(X), n)
+    want = _parity_blocks(theta.conj().T @ X @ theta)
+    for got, ref in zip(blocks, want):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+    # the padding stays zero, and Q_E, Q_O are symmetric and orthogonal:
+    # crossing twice gives the blocks back
+    assert not blocks[0][h + 1:].any() and not blocks[0][:, h + 1:].any()
+    assert not blocks[1][h - 1:].any() and not blocks[1][:, h - 1:].any()
+    for got, ref in zip(_across(blocks, n), _parity_blocks(X)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+    # theta against the DFT, whose column a is |theta_a> for a in [0, N)
+    dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    np.testing.assert_allclose(theta, np.roll(dft, (h, h), axis=(0, 1))
                                / np.sqrt(n), atol=1e-15)
     # the recoil shift |n> -> |n + 1>, wrapped, is diag(exp(-i theta_a))
     shift = np.roll(np.eye(n), 1, axis=0)
+    a = np.arange(n) - h
     np.testing.assert_allclose(theta.conj().T @ shift @ theta,
                                np.diag(np.exp(-2j * np.pi * a / n)),
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_angle_crossing_keeps_long_double(n):
+    # A kick block crosses in long double, so that its one rounding to
+    # double is the only error it carries.  X is a parity block of U,
+    # held exactly in long double, with |X|_2 <= 1, and the reference is
+    # Q X Q with Q from the definition in np.longdouble.  The rows of Q
+    # are unit vectors and the columns of X have norms <= 1, so the m
+    # terms of an entry of Q X add to at most 1 (Cauchy-Schwarz) and
+    # round it by at most m ext, with m the block's size and ext the
+    # long-double epsilon; so do those of (Q X) Q, and the orthogonal Q
+    # carries the first error on without growth in norm.  The reference
+    # and the transform, whose FFT sums fewer terms, each err by at most
+    # 2 m ext: 4 m ext in all, 2.8e-17 at N = 128, where a transform in
+    # double errs by 9.5e-17.
+    ext = np.finfo(np.longdouble).eps
+    h = n // 2
+    pi = np.arccos(np.longdouble(-1))
+    j, k = np.arange(h + 1), np.arange(1, h)
+    # the orthonormal DCT-I, with weights 1/sqrt2 on its end points, and
+    # the DST-I
+    ends = np.where((j == 0) | (j == h), np.sqrt(np.longdouble(0.5)), 1)
+    Q_E = (np.sqrt(2 / np.longdouble(h)) * np.outer(ends, ends)
+           * np.cos(pi * np.outer(j, j) / h))
+    Q_O = np.sqrt(2 / np.longdouble(h)) * np.sin(pi * np.outer(k, k) / h)
+    op = build_period_operator(KickConfig(K=280.0), MomentumBasis(size=n))
+    blocks = [X.astype(np.clongdouble) for X in _parity_blocks(op.U)]
+    want = [Q @ X[:Q.shape[0], :Q.shape[0]] @ Q
+            for Q, X in zip((Q_E, Q_O), blocks)]
+    for got, ref in zip(_across(blocks, n), want):
+        assert got.dtype == np.clongdouble
+        m = ref.shape[0]
+        assert np.abs(got[:m, :m] - ref).max() <= 4 * m * ext
+
+
+def test_emission_drift_from_a_long_double_loop():
+    # The plain loop U rho U+ then the map, in long double, rounds 2048
+    # times finer than double, so it stands for the exact map over 70
+    # kicks at N = 128 (K = 280, eta = 0.05).  The block kick drops the hard wall's D terms, which
+    # the outside rows barely feel, and rounds its products each kick.
+    # Crossed in long double and rounded once, its blocks kept the drift
+    # at 7.8e-16; the bases rounded to double added up to 2.8e-15 (the
+    # rounded matrices) or 1.8e-15 (U crossed in double) over the kicks.
+    cfg = KickConfig(K=280.0)
+    op = build_period_operator(cfg, BASIS)
+    rho = initial_density(cfg, BASIS)
+    res = run_decohered(rho, op, EmissionModel(eta=0.05), 70)
+    U, eta = op.U.astype(np.clongdouble), np.longdouble(0.05)
+    U_dag, rho = U.conj().T, rho.astype(np.clongdouble)
+    outer = np.abs(BASIS.momenta) > barrier(cfg).cantorus
+    drift = 0.0
+    for t in range(1, 71):
+        rho = U @ rho @ U_dag
+        rho = (1 - eta) * rho + eta / 2 * (
+            np.roll(rho, (-1, -1), axis=(0, 1))
+            + np.roll(rho, (1, 1), axis=(0, 1)))
+        out = float(np.real(np.diag(rho))[outer].sum())
+        drift = max(drift, abs(res.outside_fraction[t] - out))
+    assert drift < 1e-15, drift
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
@@ -189,23 +283,20 @@ def test_angle_basis_is_orthogonal_and_diagonalizes_the_shift(n):
 def test_angle_block_map_matches_emission_map(n, eta):
     # Taken into the angle blocks, mapped there and taken back, a
     # parity-even rho must match the ladder map.  rho is positive with
-    # unit trace, so |rho|_2 <= 1, and the rows of C_E and C_O are unit
-    # vectors: each of the four products C X sums m <= N/2 + 1 terms
-    # whose sizes add to at most |rho|_2 (Cauchy-Schwarz), and rounds an
-    # entry by at most m eps.  The orthogonal products carry earlier
-    # errors on without growth, and the fold, the weights and the unfold
-    # add a few eps: (2 N + 12) eps in all, 3.1e-14 at N = 128.
+    # unit trace, so |rho|_2 <= 1, and Q_E and Q_O are orthogonal: each of
+    # the four transforms rounds an entry by at most m eps, m <= N/2 + 1,
+    # the bound of a product by Q (an FFT's is smaller).  The orthogonal
+    # transforms carry earlier errors on without growth, and the fold,
+    # the weights and the unfold add a few eps: (2 N + 12) eps in all,
+    # 3.1e-14 at N = 128.
     atol = (2 * n + 12) * np.finfo(float).eps
     rho = parity_average(_random_density(n, n))
-    C, dC = _angle_basis(n)
-    blocks = [_conjugated(c, dc, X)
-              for c, dc, X in zip(C, dC, _parity_blocks(rho))]
+    blocks = _across(_parity_blocks(rho), n)
     before = [X.copy() for X in blocks]
     _angle_map(n, eta)(*blocks)
     if eta == 0.0:
         assert all(map(np.array_equal, blocks, before))
-    back = _from_parity_blocks([_conjugated(c, dc, X)
-                                for c, dc, X in zip(C, dC, blocks)], n)
+    back = _from_parity_blocks(_across(blocks, n), n)
     np.testing.assert_allclose(back, _emission_map_into(rho.copy(), eta),
                                rtol=0, atol=atol)
 

@@ -312,14 +312,12 @@ def test_evolve_density_rejects_non_density_matrix():
     cfg = KickConfig(K=280.0)
     op = build_period_operator(cfg, BASIS)
     rho = initial_density(cfg, BASIS)
-    bad = non_densities(rho)
-    for X, match in bad:
-        with pytest.raises(ValueError, match=match):
-            evolve_density(X, op, 3)
-    # the dense one, through the eigendecomposition
-    dense, match = bad[-1]
-    with pytest.raises(ValueError, match=match):
-        density_after(dense, op, 3)
+    # density_after too, the dense one through the eigendecomposition,
+    # and a rho of the wrong shape before any code indexes it
+    for X, match in non_densities(rho):
+        for evolve in (evolve_density, density_after):
+            with pytest.raises(ValueError, match=match):
+                evolve(X, op, 3)
     # roundoff-sized defects are accepted
     noisy = rho.copy()
     noisy[0, 0] = -1e-14
